@@ -1,16 +1,16 @@
 """Hot numeric kernels: tilted Monte Carlo sampling and lower convex hulls.
 
-Kernels are numba-compiled when numba is importable; setting the
-environment variable CORRDET_NO_NUMBA=1 forces the pure-numpy fallback.
-Both paths draw from the same SplitMix64 streams keyed by
-(seed, n, trial, index), so results are reproducible per path and the
-two paths can be benchmarked against each other (benchmarks/).
+Both are plain numpy.  The sampler draws from SplitMix64 streams keyed
+by (seed, n, trial, index): every (trial, index) pair has its own
+counter-derived stream, so estimates do not depend on how the trials
+are chunked or split between workers.  It is the one place that
+branches on the noise model, by the ``kernel_id`` each model class
+declares, with the parameters that cgf.kernel_args lists.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -24,31 +24,8 @@ _S11 = np.uint64(11)
 _U53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
-_DISABLED = os.environ.get("CORRDET_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
 
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay usable
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _DISABLED
-
-MODEL_IDS = {
-    "Gaussian": 0,
-    "Laplacian": 1,
-    "BinarySymmetric": 2,
-    "Uniform": 3,
-    "MixtureBinaryLaplace": 4,
-}
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy path
-# ---------------------------------------------------------------------------
-
-def _sm_fin_np(x):
+def _sm_fin(x):
     """SplitMix64 output function on uint64 scalars/arrays (wrapping mul)."""
     with np.errstate(over="ignore"):
         x = (x ^ (x >> _S30)) * _M1
@@ -56,24 +33,24 @@ def _sm_fin_np(x):
         return x ^ (x >> _S31)
 
 
-def _unit_np(x):
+def _unit(x):
     return ((x >> _S11).astype(np.float64) + 0.5) * _U53
 
 
-def _stream_base_np(seed, n_tag, trial_col, t_row):
+def _stream_base(seed, n_tag, trial_col, t_row):
     with np.errstate(over="ignore"):
-        h = _sm_fin_np(np.uint64(seed) + _GAMMA)
-        h = _sm_fin_np(h ^ np.uint64(n_tag))
-        h = _sm_fin_np(h ^ trial_col)
-        return _sm_fin_np(h ^ t_row)
+        h = _sm_fin(np.uint64(seed) + _GAMMA)
+        h = _sm_fin(h ^ np.uint64(n_tag))
+        h = _sm_fin(h ^ trial_col)
+        return _sm_fin(h ^ t_row)
 
 
-def _draw_np(base, j):
+def _draw(base, j):
     with np.errstate(over="ignore"):
-        return _unit_np(_sm_fin_np(base + np.uint64(j + 1) * _GAMMA))
+        return _unit(_sm_fin(base + np.uint64(j + 1) * _GAMMA))
 
 
-def _sample_z_np(model_id, a0, a1, a2, tau, u0, u1, u2):
+def _sample_z(model_id, a0, a1, a2, tau, u0, u1, u2):
     if model_id == 0:  # gaussian
         bm = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
         return tau * a0 + math.sqrt(a0) * bm
@@ -108,11 +85,11 @@ def _sample_z_np(model_id, a0, a1, a2, tau, u0, u1, u2):
     return np.where(u0 < p_bin, z_bin, z_lap)
 
 
-def md_weights_numpy(
+def md_weights(
     model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials,
     chunk=2048,
 ):
-    """Per-trial importance weights (0 outside the miss event), numpy path."""
+    """Per-trial importance weights (0 outside the miss event)."""
     n = w.shape[0]
     sig = math.sqrt(var_n)
     tau = -lam * w
@@ -122,20 +99,17 @@ def md_weights_numpy(
     while done < trials:
         m = min(chunk, trials - done)
         trial_col = np.arange(done, done + m, dtype=np.uint64)[:, None]
-        base = _stream_base_np(seed, n_tag, trial_col, t_row)
-        u0 = _draw_np(base, 0)
-        u1 = _draw_np(base, 1)
-        u2 = _draw_np(base, 2)
-        u3 = _draw_np(base, 3)
-        u4 = _draw_np(base, 4)
-        z = _sample_z_np(model_id, a0, a1, a2, tau[None, :], u0, u1, u2)
+        base = _stream_base(seed, n_tag, trial_col, t_row)
+        u0 = _draw(base, 0)
+        u1 = _draw(base, 1)
+        u2 = _draw(base, 2)
+        u3 = _draw(base, 3)
+        u4 = _draw(base, 4)
+        z = _sample_z(model_id, a0, a1, a2, tau[None, :], u0, u1, u2)
         noise = tau[None, :] * var_n + sig * np.sqrt(-2.0 * np.log(u3)) * np.cos(
             _TWO_PI * u4
         )
-        x = np.zeros(m)
-        zn = z + noise
-        for t in range(n):  # fixed order to match the compiled path
-            x += w[t] * zn[:, t]
+        x = (z + noise) @ w
         out[done : done + m] = np.where(
             x <= thresh, np.exp(lam * x + log_norm), 0.0
         )
@@ -143,7 +117,7 @@ def md_weights_numpy(
     return out
 
 
-def lower_hull_numpy(x, y):
+def lower_hull(x, y):
     """Indices of the lower convex hull of the graph (x sorted ascending)."""
     n = x.shape[0]
     stack = np.empty(n, dtype=np.int64)
@@ -160,125 +134,3 @@ def lower_hull_numpy(x, y):
         stack[top] = i
         top += 1
     return stack[:top].copy()
-
-
-# ---------------------------------------------------------------------------
-# numba path (same stream derivation and sampler formulas)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @_njit(cache=True, inline="always")
-    def _sm_fin(x):
-        x = (x ^ (x >> _S30)) * _M1
-        x = (x ^ (x >> _S27)) * _M2
-        return x ^ (x >> _S31)
-
-    @_njit(cache=True, inline="always")
-    def _unit(x):
-        return (np.float64(x >> _S11) + 0.5) * _U53
-
-    @_njit(cache=True)
-    def md_weights_numba(
-        model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials
-    ):
-        n = w.shape[0]
-        sig = math.sqrt(var_n)
-        out = np.empty(trials)
-        h0 = _sm_fin(seed + _GAMMA)
-        h1 = _sm_fin(h0 ^ n_tag)
-        for i in range(trials):
-            h2 = _sm_fin(h1 ^ np.uint64(i))
-            x = 0.0
-            for t in range(n):
-                base = _sm_fin(h2 ^ np.uint64(t))
-                u0 = _unit(_sm_fin(base + np.uint64(1) * _GAMMA))
-                u1 = _unit(_sm_fin(base + np.uint64(2) * _GAMMA))
-                u2 = _unit(_sm_fin(base + np.uint64(3) * _GAMMA))
-                u3 = _unit(_sm_fin(base + np.uint64(4) * _GAMMA))
-                u4 = _unit(_sm_fin(base + np.uint64(5) * _GAMMA))
-                tau = -lam * w[t]
-                if model_id == 0:
-                    bm = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-                    z = tau * a0 + math.sqrt(a0) * bm
-                elif model_id == 1:
-                    if u1 < (a0 + tau) / (2.0 * a0):
-                        z = -math.log(u2) / (a0 - tau)
-                    else:
-                        z = math.log(u2) / (a0 + tau)
-                elif model_id == 2:
-                    xb = 2.0 * tau * a0
-                    ex = math.exp(-abs(xb))
-                    p_plus = 1.0 / (1.0 + ex) if xb >= 0.0 else ex / (1.0 + ex)
-                    z = a0 if u1 < p_plus else -a0
-                elif model_id == 3:
-                    g = tau * a0
-                    if abs(g) < 1e-8:
-                        z = -a0 + 2.0 * a0 * u1
-                    else:
-                        z = -a0 + math.log1p(u1 * math.expm1(2.0 * g)) / tau
-                else:
-                    xm = tau * a1
-                    axm = abs(xm)
-                    em = math.exp(-axm)
-                    em2 = math.exp(-2.0 * axm)
-                    lap = 1.0 / (1.0 - (tau / a2) ** 2)
-                    cb = a0 * 0.5 * (1.0 + em2)
-                    cl = (1.0 - a0) * lap * em
-                    if u0 < cb / (cb + cl):
-                        xb = 2.0 * tau * a1
-                        ex = math.exp(-abs(xb))
-                        p_plus = 1.0 / (1.0 + ex) if xb >= 0.0 else ex / (1.0 + ex)
-                        z = a1 if u1 < p_plus else -a1
-                    else:
-                        if u1 < (a2 + tau) / (2.0 * a2):
-                            z = -math.log(u2) / (a2 - tau)
-                        else:
-                            z = math.log(u2) / (a2 + tau)
-                noise = tau * var_n + sig * math.sqrt(-2.0 * math.log(u3)) * math.cos(
-                    _TWO_PI * u4
-                )
-                x += w[t] * (z + noise)
-            if x <= thresh:
-                out[i] = math.exp(lam * x + log_norm)
-            else:
-                out[i] = 0.0
-        return out
-
-    lower_hull_numba = _njit(cache=True)(lower_hull_numpy)
-else:  # pragma: no cover
-    md_weights_numba = None
-    lower_hull_numba = None
-
-
-def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials):
-    """Dispatch to the active backend."""
-    if USE_NUMBA:
-        return md_weights_numba(
-            np.int64(model_id),
-            float(a0),
-            float(a1),
-            float(a2),
-            np.ascontiguousarray(w, dtype=np.float64),
-            float(lam),
-            float(var_n),
-            float(thresh),
-            float(log_norm),
-            np.uint64(seed),
-            np.uint64(n_tag),
-            np.int64(trials),
-        )
-    return md_weights_numpy(
-        int(model_id), float(a0), float(a1), float(a2),
-        np.ascontiguousarray(w, dtype=np.float64),
-        float(lam), float(var_n), float(thresh), float(log_norm),
-        int(seed), int(n_tag), int(trials),
-    )
-
-
-def lower_hull(x, y):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if USE_NUMBA:
-        return lower_hull_numba(x, y)
-    return lower_hull_numpy(x, y)

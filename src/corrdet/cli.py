@@ -227,7 +227,7 @@ def cmd_roots(cfg, out):
     if edge < math.inf:
         w_hi = 0.999 * edge / lam
     else:
-        w_hi = 1.5 * model.z0 / kappa
+        w_hi = 1.5 * model.amplitude / kappa
     grid = np.linspace(0.0, w_hi, points)
     rows = [(w, _cgf.cgf_deriv(model, lam * w), kappa * w) for w in grid]
     _write_csv(out, ["w", "cdot", "linear"], rows)
@@ -306,11 +306,12 @@ def cmd_figure(fig_id: int, out):
     interference); 4 traces the stationary-level crossing for the
     binary/Laplacian mixture."""
     if fig_id == 4:
+        q = 5.0
         model = model_from_config(
-            {"type": "mixture_binary_laplace", "delta": 0.95, "z0": 0.5, "q": 5.0}
+            {"type": "mixture_binary_laplace", "delta": 0.95, "z0": 0.5, "q": q}
         )
         lam, kappa = 1.0, 0.13
-        grid = np.linspace(0.0, 0.999 * model.q / lam, 1000)
+        grid = np.linspace(0.0, 0.999 * q / lam, 1000)
         rows = [(w, _cgf.cgf_deriv(model, lam * w), kappa * w) for w in grid]
         _write_csv(out, ["w", "cdot_curve", "linear_line"], rows)
         return
@@ -355,11 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
     fig = sub.add_parser("figure")
     fig.add_argument("--id", type=int, required=True)
     fig.add_argument("--out", required=True)
-    fig.add_argument("--threads", type=int, default=1)
     return parser
 
 

@@ -21,8 +21,6 @@ from ._optim import golden_max, golden_max_vec
 from .cgf import NoiseModel
 from .exponents import ExponentResult, JointAtoms, PowerBudget, fa_exponent, md_exponent, md_objective
 
-_EDGE_SHRINK = 1.0 - 1e-12
-
 
 class DegenerateSignal(ValueError):
     """Signal with zero power cannot drive a correlator design."""
@@ -165,12 +163,12 @@ def _g_inverse_arr(model, s, rho, lam, var_n, max_iter=160):
         return _cgf.cgf_deriv(model, lam * w) + (rho / lam + var_n * lam) * w
 
     lo = np.zeros(shape)
-    edge = _cgf._pole(model)
-    if edge == math.inf:
+    cap = _cgf.tilt_cap(model, lam)
+    if np.all(np.isinf(cap)):
         # g(w) >= var_n*lam*w for w >= 0, so this upper end always brackets
         hi = target / (var_n * lam) + 1.0
     else:
-        hi = np.broadcast_to(edge * _EDGE_SHRINK / lam, shape).copy()
+        hi = np.broadcast_to(cap, shape).copy()
 
     tol = 1e-10 * (1.0 + target)
     w = np.zeros(shape)
@@ -528,9 +526,7 @@ def design_4ask(
     betas = np.sqrt(np.maximum(2.0 * p_w - alphas * alphas, 0.0))
     e_ws = 0.5 * a * alphas + 1.5 * a * betas
 
-    edge = _cgf._pole(model)
-    wmax = np.maximum(alphas, betas)
-    caps = np.full_like(alphas, np.inf) if edge == math.inf else edge * _EDGE_SHRINK / wmax
+    caps = _cgf.tilt_cap(model, np.maximum(alphas, betas))
 
     def obj(lams):
         c = 0.5 * _cgf.cgf_eval(model, lams * alphas) + 0.5 * _cgf.cgf_eval(

@@ -20,10 +20,6 @@ from . import cgf as _cgf
 from ._optim import expand_bracket_max, golden_max
 from .cgf import DomainError, NoiseModel
 
-# Keep the largest tilt a factor below the CGF pole so the objective is
-# evaluated strictly inside the feasible slab.
-_EDGE_SHRINK = 1.0 - 1e-12
-
 
 @dataclass(frozen=True)
 class PowerBudget:
@@ -163,13 +159,6 @@ def md_objective(
     )
 
 
-def _lambda_cap(model: NoiseModel, max_abs_w: float) -> float:
-    edge = _cgf._pole(model)
-    if edge == math.inf or max_abs_w == 0.0:
-        return math.inf
-    return edge * _EDGE_SHRINK / max_abs_w
-
-
 def md_exponent(
     joint: JointAtoms,
     theta: float,
@@ -191,7 +180,7 @@ def md_exponent(
             raise ValueError("objective unbounded: zero weights with negative theta")
         return ExponentResult(0.0, 0.0, {"iterations": 0, "bracket": (0.0, 0.0)})
 
-    cap = _lambda_cap(model, joint.max_abs_w())
+    cap = _cgf.tilt_cap(model, joint.max_abs_w())
 
     def f(lam):
         return md_objective(joint, lam, theta, budget, model)

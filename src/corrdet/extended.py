@@ -27,8 +27,6 @@ from .exponents import ExponentResult, JointAtoms, PowerBudget, fa_exponent, md_
 # back to the plain-correlator code path.
 ALPHA_PLAIN = 1e-8
 
-_EDGE_SHRINK = 1.0 - 1e-12
-
 
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not reach the requested accuracy."""
@@ -80,7 +78,7 @@ def fa_exponent_energy(theta: float, budget: PowerBudget, alpha: float) -> Expon
             + 0.5 * math.log(shrink)
         )
 
-    lam_star, val, it = golden_max(f, 0.0, pole * _EDGE_SHRINK, rel_tol=1e-13)
+    lam_star, val, it = golden_max(f, 0.0, pole * _cgf.TILT_SHRINK, rel_tol=1e-13)
     if val <= 0.0:
         return ExponentResult(0.0, 0.0, {"iterations": it, "bracket": (0.0, pole)})
     return ExponentResult(float(val), float(lam_star), {"iterations": it, "bracket": (0.0, pole)})
@@ -149,9 +147,7 @@ def md_exponent_energy(
     drift = e_su - alpha * e_s2 - spec.theta
     var_n = budget.var_n
 
-    edge = _cgf._pole(model)
-    umax = float(np.max(np.abs(u)))
-    cap = math.inf if edge == math.inf or umax == 0.0 else edge * _EDGE_SHRINK / umax
+    cap = _cgf.tilt_cap(model, float(np.max(np.abs(u))))
 
     def f(lam):
         if lam <= 0.0:
@@ -246,9 +242,7 @@ def md_exponent_abs(
     e_w2 = float(np.dot(p, w * w))
     var_n = budget.var_n
 
-    edge = _cgf._pole(model)
-    wmax = float(np.max(np.abs(w)))
-    cap = math.inf if edge == math.inf or wmax == 0.0 else edge * _EDGE_SHRINK / wmax
+    cap = _cgf.tilt_cap(model, float(np.max(np.abs(w))))
 
     def f(lam):
         if lam <= 0.0:

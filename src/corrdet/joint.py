@@ -22,8 +22,6 @@ from ._optim import golden_max
 from .cgf import DomainError, Gaussian, NoiseModel
 from .exponents import JointAtoms, PowerBudget, md_exponent
 
-_EDGE_SHRINK = 1.0 - 1e-12
-
 
 @dataclass(frozen=True)
 class StationaryLevels:
@@ -106,13 +104,11 @@ def stationary_levels(model: NoiseModel, lam: float, kappa: float) -> Stationary
         cont = abs(model.var_z * lam - kappa) <= 1e-12 * max(kappa, 1.0)
         return StationaryLevels(kappa, (0.0,), continuum=cont)
 
-    edge = _cgf._pole(model)
-    if edge < math.inf:
-        w_max = edge * _EDGE_SHRINK / lam
-    else:
-        # Cdot is bounded by z0 for the bounded-support models, so every
-        # positive root satisfies w <= z0/kappa
-        w_max = 1.01 * model.z0 / kappa
+    w_max = _cgf.tilt_cap(model, lam)
+    if w_max == math.inf:
+        # Cdot is bounded by the amplitude z0 for the bounded-support
+        # models, so every positive root satisfies w <= z0/kappa
+        w_max = 1.01 * model.amplitude / kappa
 
     def d(w):
         return _cgf.cgf_deriv(model, lam * w) - kappa * w
@@ -158,10 +154,7 @@ def _envelope_grid(model: NoiseModel, lam: float, p_hi: float):
 
 
 def _p_hi(model: NoiseModel, lam: float, p_cap: float) -> float:
-    edge = _cgf._pole(model)
-    if edge == math.inf:
-        return p_cap
-    return min(p_cap, (edge * _EDGE_SHRINK / lam) ** 2)
+    return min(p_cap, _cgf.tilt_cap(model, lam) ** 2)
 
 
 def c_tilde(model: NoiseModel, lam: float, p: float, p_cap: float) -> EnvelopeValue:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import cgf as _cgf
-from ._kernels import MODEL_IDS, md_weights
+from ._kernels import md_weights
 from .cgf import NoiseModel
 from .exponents import PowerBudget
 
@@ -75,17 +75,6 @@ def fa_probability_exact(w, theta: float, n: int, var_n: float) -> float:
     return float(ndtr(-theta * n / (math.sqrt(var_n) * norm)))
 
 
-def _model_params(model: NoiseModel):
-    mid = MODEL_IDS[type(model).__name__]
-    if mid == 0:
-        return mid, model.var_z, 0.0, 0.0
-    if mid in (1,):
-        return mid, model.q, 0.0, 0.0
-    if mid in (2, 3):
-        return mid, model.z0, 0.0, 0.0
-    return mid, model.delta, model.z0, model.q
-
-
 def md_probability(
     model: NoiseModel,
     w,
@@ -103,13 +92,12 @@ def md_probability(
     """
     lam = config.tilt_lambda
     var_n = budget.var_n
-    mid, a0, a1, a2 = _model_params(model)
-    edge = _cgf._pole(model)
+    kernel = _cgf.kernel_args(model)
     per_n = []
     for n in config.n_values:
         w_n = _tile(w, n)
         s_n = _tile(s, n)
-        if lam > 0 and edge < math.inf and lam * float(np.max(np.abs(w_n))) >= edge:
+        if lam > 0 and lam * float(np.max(np.abs(w_n))) >= _cgf._pole(model):
             raise DegenerateTilt(f"tilt {lam} leaves the CGF domain at n={n}")
         log_norm = float(
             np.sum(_cgf.cgf_eval(model, lam * w_n))
@@ -117,7 +105,7 @@ def md_probability(
         )
         thresh = theta * n - float(np.dot(w_n, s_n))
         weights = md_weights(
-            mid, a0, a1, a2, w_n, lam, var_n, thresh, log_norm, config.seed, n, config.trials
+            *kernel, w_n, lam, var_n, thresh, log_norm, config.seed, n, config.trials
         )
         prob = float(np.sum(weights)) / config.trials
         second = float(np.sum(weights * weights)) / config.trials

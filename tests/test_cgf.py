@@ -94,6 +94,26 @@ class TestValidation:
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_tilt_cap(model):
+    scale = 1.7
+    cap = cd.cgf.tilt_cap(model, scale)
+    caps = cd.cgf.tilt_cap(model, np.array([scale, 0.0]))
+    assert caps.shape == (2,) and caps[0] == cap and caps[1] == math.inf
+    assert cd.cgf.tilt_cap(model, 0.0) == math.inf
+    lo, hi = cd.cgf_domain(model)
+    if math.isinf(hi):
+        assert cap == math.inf
+        return
+    assert 0.0 < cap * scale < hi
+    for v in (cap * scale, -cap * scale):
+        assert math.isfinite(cd.cgf_eval(model, v))
+        assert math.isfinite(cd.cgf_deriv(model, v))
+    for v in (hi, cd.cgf._pole(model)):
+        with pytest.raises(DomainError):
+            cd.cgf_eval(model, v)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
 def test_symmetry(model):
     rng = np.random.default_rng(42)
     v = domain_points(model, rng)

@@ -194,6 +194,17 @@ class TestCommands:
         info = json.loads(capsys.readouterr().out)
         assert len(info["roots"]) == 3
 
+    def test_roots_gaussian(self, tmp_path, capsys):
+        # the Gaussian has neither a pole nor a bounded Cdot to size the w grid
+        cfg = write_cfg(
+            tmp_path, "c.json", {"model": MODEL_GAUSS, "lambda": 1.0, "kappa": 0.5}
+        )
+        out = tmp_path / "roots.csv"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"continuum": False, "roots": [0.0]}
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[-1, 0] == pytest.approx(1.5 / 0.5)
+
     def test_extended_json(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
