@@ -118,19 +118,17 @@ def md_weights(
 
 
 def lower_hull(x, y):
-    """Indices of the lower convex hull of the graph (x sorted ascending)."""
-    n = x.shape[0]
-    stack = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        while top >= 2:
-            o = stack[top - 2]
-            a = stack[top - 1]
-            cross = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
-            if cross <= 0.0:
-                top -= 1
-            else:
-                break
-        stack[top] = i
-        top += 1
-    return stack[:top].copy()
+    """Indices of the lower convex hull of the graph (x sorted ascending).
+
+    Each pass drops every interior point on or above the chord of its
+    current neighbours (cross product <= 0), which is never a hull
+    vertex, until a pass drops nothing: the strict vertices remain.
+    """
+    idx = np.arange(x.shape[0])
+    while idx.size > 2:
+        o, a, i = idx[:-2], idx[1:-1], idx[2:]
+        turn = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o]) > 0.0
+        if turn.all():
+            break
+        idx = idx[np.concatenate([[True], turn, [True]])]
+    return idx

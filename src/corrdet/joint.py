@@ -73,8 +73,9 @@ class JointDesignResult:
         )
 
 
-def _sqrt_cgf(model: NoiseModel, lam: float, p):
-    return _cgf.cgf_eval(model, lam * np.sqrt(p))
+def _h(model: NoiseModel, x):
+    """H(x) = C(sqrt(x)), so that C(lam*sqrt(p)) = H(lam^2 p) for every tilt."""
+    return _cgf.cgf_eval(model, np.sqrt(x))
 
 
 def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
@@ -84,8 +85,7 @@ def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
     edge = _cgf._pole(model)
     if lam * math.sqrt(p_max) >= edge:
         raise DomainError("lam*sqrt(p_max) reaches the CGF pole")
-    p = np.linspace(0.0, p_max, 10_000)
-    h = _sqrt_cgf(model, lam, p)
+    h = _h(model, lam * lam * np.linspace(0.0, p_max, 10_000))
     d2 = h[:-2] + h[2:] - 2.0 * h[1:-1]
     has_pos = bool(np.any(d2 > 1e-10))
     has_neg = bool(np.any(d2 < -1e-10))
@@ -139,22 +139,33 @@ def stationary_levels(model: NoiseModel, lam: float, kappa: float) -> Stationary
     return StationaryLevels(kappa, tuple(dedup), continuum=False)
 
 
-def _envelope_grid(model: NoiseModel, lam: float, p_hi: float):
-    """Lower convex hull of (p, C(lam*sqrt(p))) on [0, p_hi].
+def _envelope_grid(model: NoiseModel, x_hi: float):
+    """Lower convex hull of (x, H(x)) on [0, x_hi]: read at x = lam^2 p,
+    the envelope of p -> C(lam*sqrt(p)) on [0, x_hi/lam^2].
 
     Mixed log+linear abscissae resolve both the relative structure near
-    zero and the chord end at p_hi.
+    zero and the chord end at x_hi.
     """
-    logs = p_hi * np.logspace(-12.0, 0.0, 6000)
-    lins = np.linspace(0.0, p_hi, 4000)
-    p = np.unique(np.concatenate([[0.0, p_hi], logs, lins]))
-    h = _sqrt_cgf(model, lam, p)
-    idx = lower_hull(p, h)
-    return p[idx], h[idx]
+    if isinstance(model, Gaussian):  # H is linear
+        return np.array([0.0, x_hi]), np.array([0.0, 0.5 * model.var_z * x_hi])
+    logs = x_hi * np.logspace(-12.0, 0.0, 6000)
+    lins = np.linspace(0.0, x_hi, 4000)
+    x = np.unique(np.concatenate([[0.0, x_hi], logs, lins]))
+    h = _h(model, x)
+    idx = lower_hull(x, h)
+    return x[idx], h[idx]
 
 
-def _p_hi(model: NoiseModel, lam: float, p_cap: float) -> float:
-    return min(p_cap, _cgf.tilt_cap(model, lam) ** 2)
+def _hull(model, lam, p_cap, hulls):
+    """The hull that serves tilt lam, kept in ``hulls`` by its end x_hi."""
+    # the pole's bound is written without lam, so that every pole-bound
+    # tilt gets the same float and shares one hull
+    x_hi = min(lam * lam * p_cap, (_cgf._pole(model) * _cgf.TILT_SHRINK) ** 2)
+    if not x_hi < math.inf:
+        raise DomainError("lam^2 * p_cap must be finite")
+    if x_hi not in hulls:
+        hulls[x_hi] = _envelope_grid(model, x_hi)
+    return hulls[x_hi]
 
 
 def c_tilde(model: NoiseModel, lam: float, p: float, p_cap: float) -> EnvelopeValue:
@@ -167,13 +178,17 @@ def c_tilde(model: NoiseModel, lam: float, p: float, p_cap: float) -> EnvelopeVa
     edge = _cgf._pole(model)
     if lam * math.sqrt(p_cap) >= edge:
         raise DomainError("lam*sqrt(p_cap) reaches the CGF pole")
-    if isinstance(model, Gaussian):
-        return EnvelopeValue(0.5 * model.var_z * lam * lam * p, p, p, 0.0)
+    return _chord(model, lam, p, p_cap, _envelope_grid(model, lam * lam * p_cap))
 
-    hx, hy = _envelope_grid(model, lam, p_cap)
-    j = int(np.searchsorted(hx, p, side="right"))
+
+def _chord(model, lam, p, p_hi, hull):
+    """c_tilde at p from the hull in x = lam^2 p that ends at lam^2 p_hi."""
+    hx, hy = hull
+    j = int(np.searchsorted(hx, lam * lam * p, side="right"))
     j = min(max(j, 1), hx.size - 1)
-    p0, p1 = float(hx[j - 1]), float(hx[j])
+    # the last vertex is p_hi itself: x/lam^2 can miss it by an ulp
+    p0 = float(hx[j - 1]) / (lam * lam)
+    p1 = p_hi if j == hx.size - 1 else float(hx[j]) / (lam * lam)
     y0, y1 = float(hy[j - 1]), float(hy[j])
     if p1 == p0:
         alpha = 0.0
@@ -181,35 +196,26 @@ def c_tilde(model: NoiseModel, lam: float, p: float, p_cap: float) -> EnvelopeVa
     else:
         alpha = (p - p0) / (p1 - p0)
         val = (1.0 - alpha) * y0 + alpha * y1
-    h_p = float(_sqrt_cgf(model, lam, p))
+    h_p = _cgf.cgf_eval(model, lam * math.sqrt(p))
     if val >= h_p - 1e-9 * (1.0 + abs(h_p)):
         # the envelope touches the graph here: locally convex
         return EnvelopeValue(h_p, float(p), float(p), 0.0)
     return EnvelopeValue(float(val), p0, p1, float(alpha))
 
 
-def _envelope_values(model, lam, p_query, p_cap):
-    """Envelope values at an array of powers (single hull build)."""
-    if isinstance(model, Gaussian):
-        return 0.5 * model.var_z * lam * lam * p_query
-    hx, hy = _envelope_grid(model, lam, p_cap)
-    return np.interp(p_query, hx, hy)
+def _envelope_values(model, lam, p_query, p_cap, hulls):
+    """Envelope values at an array of powers, +inf past the hull's end."""
+    hx, hy = _hull(model, lam, p_cap, hulls)
+    x = lam * lam * p_query
+    return np.where(x <= hx[-1], np.interp(x, hx, hy), np.inf)
 
 
-def _joint_objective_grid(model, lams, p_grid, theta, p_s, var_n, p_cap):
-    out = np.full((lams.size, p_grid.size), -np.inf)
+def _joint_objective_grid(model, lams, p_grid, theta, p_s, var_n, p_cap, hulls):
+    out = np.empty((lams.size, p_grid.size))
     root_ps = np.sqrt(p_s * p_grid)
     for i, lam in enumerate(lams):
-        hi = _p_hi(model, lam, p_cap)
-        feas = p_grid <= hi
-        if not np.any(feas):
-            continue
-        env = _envelope_values(model, lam, p_grid[feas], hi)
-        out[i, feas] = (
-            lam * (root_ps[feas] - theta)
-            - env
-            - 0.5 * lam * lam * var_n * p_grid[feas]
-        )
+        env = _envelope_values(model, lam, p_grid, p_cap, hulls)
+        out[i] = lam * (root_ps - theta) - env - 0.5 * lam * lam * var_n * p_grid
     return out
 
 
@@ -240,7 +246,8 @@ def joint_md_exponent(
     lams = np.geomspace(lam_hi * 1e-8, lam_hi, 100)
     ps = np.geomspace(p_w * 1e-8, p_w, 100)
 
-    vals = _joint_objective_grid(model, lams, ps, theta, p_s, var_n, p_cap)
+    hulls = {}  # hull vertices by x_hi, for this call only (see _hull)
+    vals = _joint_objective_grid(model, lams, ps, theta, p_s, var_n, p_cap, hulls)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best = float(vals[i, j])
 
@@ -251,7 +258,7 @@ def joint_md_exponent(
         p_hi2 = ps[min(j + 1, ps.size - 1)]
         lams = np.geomspace(lam_lo, lam_hi2, 30)
         ps = np.unique(np.append(np.geomspace(p_lo, p_hi2, 30), min(p_hi2, p_w)))
-        vals = _joint_objective_grid(model, lams, ps, theta, p_s, var_n, p_cap)
+        vals = _joint_objective_grid(model, lams, ps, theta, p_s, var_n, p_cap, hulls)
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = max(best, float(vals[i, j]))
 
@@ -259,10 +266,7 @@ def joint_md_exponent(
 
     # coordinate golden polish in the final refined window
     def f_lam(lam):
-        hi = _p_hi(model, lam, p_cap)
-        if p_star > hi:
-            return -np.inf
-        env = float(_envelope_values(model, lam, np.array([p_star]), hi)[0])
+        env = float(_envelope_values(model, lam, np.array([p_star]), p_cap, hulls)[0])
         return lam * (math.sqrt(p_s * p_star) - theta) - env - 0.5 * lam * lam * var_n * p_star
 
     lam_star, v1, _ = golden_max(
@@ -270,10 +274,7 @@ def joint_md_exponent(
     )
 
     def f_p(p):
-        hi = _p_hi(model, lam_star, p_cap)
-        if p > hi:
-            return -np.inf
-        env = float(_envelope_values(model, lam_star, np.array([p]), hi)[0])
+        env = float(_envelope_values(model, lam_star, np.array([p]), p_cap, hulls)[0])
         return lam_star * (math.sqrt(p_s * p) - theta) - env - 0.5 * lam_star ** 2 * var_n * p
 
     p_star, v2, _ = golden_max(
@@ -285,7 +286,8 @@ def joint_md_exponent(
         root = math.sqrt(p_w)
         return JointDesignResult(0.0, 0.0, p_w, root, root, 1.0, _safe_curvature(model, 1.0, p_w))
 
-    env = c_tilde(model, lam_star, p_star, _p_hi(model, lam_star, p_cap))
+    p_hi = min(p_cap, _cgf.tilt_cap(model, lam_star) ** 2)
+    env = _chord(model, lam_star, p_star, p_hi, _hull(model, lam_star, p_cap, hulls))
     return JointDesignResult(
         e_md=float(best),
         lambda_star=float(lam_star),
@@ -293,7 +295,7 @@ def joint_md_exponent(
         level_a=math.sqrt(env.p0),
         level_b=math.sqrt(env.p1) if env.p1 > 0 else math.sqrt(max(env.p0, p_star)),
         mix_alpha=float(env.alpha),
-        curvature=_safe_curvature(model, lam_star, _p_hi(model, lam_star, p_cap)),
+        curvature=_safe_curvature(model, lam_star, p_hi),
     )
 
 

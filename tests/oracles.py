@@ -171,3 +171,24 @@ def abs_detector_mc_slope(model, w_pat, s_pat, alpha, theta, var_n, lam, n_value
         rel = vals.std(ddof=1) / math.sqrt(trials) / prob if prob > 0 else math.inf
         rows.append({"n": n, "prob_estimate": prob, "rel_stderr": rel})
     return cd.estimate_slope(rows)
+
+
+def lower_hull_stack(x, y):
+    """Indices of the lower convex hull of a graph (x sorted ascending),
+    by the monotone-chain stack: pop while the last two kept points and
+    the new one do not turn left (cross product <= 0)."""
+    n = x.shape[0]
+    stack = np.empty(n, dtype=np.int64)
+    top = 0
+    for i in range(n):
+        while top >= 2:
+            o = stack[top - 2]
+            a = stack[top - 1]
+            cross = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
+            if cross <= 0.0:
+                top -= 1
+            else:
+                break
+        stack[top] = i
+        top += 1
+    return stack[:top].copy()

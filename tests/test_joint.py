@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import corrdet as cd
+from corrdet import joint
+from corrdet._kernels import lower_hull
 from corrdet.joint import result_atoms
 
 MIX = cd.MixtureBinaryLaplace(0.95, 0.5, 5.0)
@@ -69,16 +71,19 @@ class TestEnvelope:
             assert env.p0 == env.p1 == p
 
     def test_binary_concave_chord(self):
+        # the chord ends are the support's ends exactly: lam^2 cap / lam^2
+        # misses cap by an ulp for some tilts
         model = cd.BinarySymmetric(7.0)
-        prev = math.inf
-        for cap in [1e4, 1e6, 1e8]:
-            env = cd.c_tilde(model, 0.5, 1.0, cap)
-            chord = cd.cgf_eval(model, 0.5 * math.sqrt(cap)) / cap
-            assert env.value == pytest.approx(chord, rel=1e-9)
-            assert env.p0 == 0.0 and env.p1 == cap
-            assert env.value < prev
-            prev = env.value
-        assert prev < 1e-3  # interference nullified in the large-cap limit
+        for lam in [0.3, 0.5, 0.7, 1.3]:
+            prev = math.inf
+            for cap in [1e4, 1e6, 1e8]:
+                env = cd.c_tilde(model, lam, 1.0, cap)
+                chord = cd.cgf_eval(model, lam * math.sqrt(cap)) / cap
+                assert env.value == pytest.approx(chord, rel=1e-9)
+                assert env.p0 == 0.0 and env.p1 == cap, (lam, cap, env)
+                assert env.value < prev
+                prev = env.value
+            assert prev < 1e-3  # interference nullified in the large-cap limit
 
     def test_mixture_support_reconstructs(self):
         env = cd.c_tilde(MIX, 1.0, 4.0, 20.0)
@@ -118,6 +123,25 @@ class TestJointDesign:
         res = cd.joint_md_exponent(cd.BinarySymmetric(7.0), bud, 0.5, p_cap=1e8)
         assert res.e_md == pytest.approx(ref, rel=0.02)
         assert res.curvature == "concave"
+
+    def test_pole_bound_tilts_share_one_hull(self, monkeypatch):
+        # with a cap this large the CGF pole bounds every tilt, and the
+        # envelope of C(lam*sqrt(p)) is one hull in x = lam^2 p
+        builds = []
+
+        def counting_hull(x, y):
+            builds.append(x.size)
+            return lower_hull(x, y)
+
+        monkeypatch.setattr(joint, "lower_hull", counting_hull)
+        cd.joint_md_exponent(MIX, cd.PowerBudget(1.0, 1.0, p_s=1.0), 0.5, p_cap=1e18)
+        assert 1 <= len(builds) <= 2
+
+    def test_infinite_cap_rejected(self):
+        bud = cd.PowerBudget(1.0, 1.0, p_s=1.0)
+        for model in [cd.Gaussian(1.0), cd.BinarySymmetric(7.0)]:
+            with pytest.raises(cd.DomainError):
+                cd.joint_md_exponent(model, bud, 0.5, p_cap=math.inf)
 
     def test_requires_p_s(self):
         with pytest.raises(ValueError):
@@ -169,16 +193,18 @@ class TestTwoLevelDirect:
 
     def test_mixture_levels_sit_on_stationary_roots(self):
         # at the optimum the two magnitudes must solve the stationary
-        # equation whose slope is implied by the envelope chord
+        # equation whose slope is implied by the envelope chord; this holds
+        # for the direct search and for the envelope's chord ends alike
         bud = cd.PowerBudget(p_w=16.0, var_n=1.0, p_s=1.0)
-        direct = cd.two_level_direct(MIX, bud, 0.05)
-        a, b, lam = direct.level_a, direct.level_b, direct.lambda_star
-        assert b - a > 0.1  # genuinely two-level
-        chord = (cd.cgf_eval(MIX, lam * b) - cd.cgf_eval(MIX, lam * a)) / (b * b - a * a)
-        kappa = 2.0 * chord / lam
-        roots = cd.stationary_levels(MIX, lam, kappa).roots
-        for level in (a, b):
-            assert min(abs(level - r) for r in roots) < 0.05
+        for design, tol in [(cd.two_level_direct, 0.05), (cd.joint_md_exponent, 0.01)]:
+            res = design(MIX, bud, 0.05)
+            a, b, lam = res.level_a, res.level_b, res.lambda_star
+            assert b - a > 0.1  # genuinely two-level
+            chord = (cd.cgf_eval(MIX, lam * b) - cd.cgf_eval(MIX, lam * a)) / (b * b - a * a)
+            kappa = 2.0 * chord / lam
+            roots = cd.stationary_levels(MIX, lam, kappa).roots
+            for level in (a, b):
+                assert min(abs(level - r) for r in roots) < tol, (design.__name__, level, roots)
 
     def test_value_reproduced_from_atoms(self):
         bud = cd.PowerBudget(p_w=16.0, var_n=1.0, p_s=1.0)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrdet as cd
-from corrdet import _kernels
-from oracles import md_probability_exhaustive_binary
+from corrdet import _kernels, joint
+from oracles import lower_hull_stack, md_probability_exhaustive_binary
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
 
@@ -192,3 +194,56 @@ class TestKernels:
         # hull vertices turn left: slopes strictly increase
         slopes = np.diff(y[idx]) / np.diff(x[idx])
         assert np.all(np.diff(slopes) > 0)
+
+    @pytest.mark.parametrize(
+        "model,lam",
+        [
+            (cd.MixtureBinaryLaplace(0.95, 0.5, 5.0), 1.0),
+            (cd.BinarySymmetric(7.0), 0.5),
+            (cd.Laplacian(2.0), 1.0),
+            (cd.Uniform(1.5), 0.5),
+        ],
+        ids=["mixture", "binary", "laplacian", "uniform"],
+    )
+    def test_lower_hull_matches_stack_on_joint_grids(self, model, lam, monkeypatch):
+        # the graph that joint design hands to the hull, for p_cap = 1e8
+        graphs = []
+
+        def record(x, y):
+            graphs.append((x, y))
+            return lower_hull_stack(x, y)
+
+        monkeypatch.setattr(joint, "lower_hull", record)
+        joint._envelope_values(model, lam, np.array([1.0]), 1e8, {})
+        (x, y), = graphs
+        np.testing.assert_array_equal(_kernels.lower_hull(x, y), lower_hull_stack(x, y))
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [3.0, 3.0, 3.0, 3.0, 3.0, 3.0],  # one flat run
+            [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],  # one sloped run
+            [4.0, 2.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0],  # three runs meeting at kinks
+            [0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0],  # concave: only the ends
+            [5.0, 0.0],
+            [1.0],
+        ],
+    )
+    def test_lower_hull_collinear_runs(self, y):
+        # integer coordinates make every cross product exact, so points on
+        # a chord (cross product 0) are dropped, never kept by rounding
+        y = np.array(y)
+        x = np.arange(y.size, dtype=float)
+        np.testing.assert_array_equal(_kernels.lower_hull(x, y), lower_hull_stack(x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.integers(1, 50), min_size=1, max_size=60),
+    heights=st.lists(st.integers(-20, 20), min_size=61, max_size=61),
+)
+def test_lower_hull_matches_stack_property(steps, heights):
+    # integer graphs: exact cross products, with many collinear triples
+    x = np.concatenate([[0.0], np.cumsum(steps, dtype=float)])
+    y = np.array(heights[: x.size], dtype=float)
+    np.testing.assert_array_equal(_kernels.lower_hull(x, y), lower_hull_stack(x, y))
