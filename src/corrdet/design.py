@@ -159,28 +159,27 @@ def _g_inverse_arr(model, s, rho, lam, var_n, max_iter=160):
     target = np.broadcast_to(target, shape).copy()
     sign = np.broadcast_to(sign, shape)
 
-    def g(w):
-        return _cgf.cgf_deriv(model, lam * w) + (rho / lam + var_n * lam) * w
-
     lo = np.zeros(shape)
     cap = _cgf.tilt_cap(model, lam)
     if np.all(np.isinf(cap)):
         # g(w) >= var_n*lam*w for w >= 0, so this upper end always brackets
-        hi = target / (var_n * lam) + 1.0
+        hi = np.broadcast_to(target / (var_n * lam) + 1.0, shape).copy()
     else:
         hi = np.broadcast_to(cap, shape).copy()
+    # every midpoint stays below hi <= cap, so lam*w is inside the CGF
+    # domain and model.cdot is called without the per-call domain check
+    slope = rho / lam + var_n * lam
 
     tol = 1e-10 * (1.0 + target)
     w = np.zeros(shape)
     for _ in range(max_iter):
         w = 0.5 * (lo + hi)
-        gm = g(w)
-        err = gm - target
-        if np.all(np.abs(err) <= tol):
+        gm = model.cdot(lam * w) + slope * w
+        if (np.abs(gm - target) <= tol).all():
             break
         high = gm > target
-        hi = np.where(high, w, hi)
-        lo = np.where(high, lo, w)
+        np.copyto(hi, w, where=high)
+        np.copyto(lo, w, where=~high)
     out = sign * w
     return np.where(target == 0.0, 0.0, out)
 
@@ -206,8 +205,9 @@ def _tune_rho_arr(model, s, p, lam_col, p_w, var_n, rho_hint=None, max_iter=200)
     """Vectorized power-constraint multiplier for a column of tilts.
 
     Returns rho >= 0 per tilt: zero when the unconstrained inverse already
-    meets the power budget, otherwise the bisection solution of
-    E[g^{-1}(S|rho)^2] = p_w to 1e-8 relative.
+    meets the power budget, otherwise the root of
+    E[g^{-1}(S|rho)^2] = p_w to 5e-10 absolute (relative when p_w < 1),
+    found by false position inside a bisection-safe bracket.
     """
     L = lam_col.shape[0]
     zeros = np.zeros((L, 1))
@@ -221,28 +221,43 @@ def _tune_rho_arr(model, s, p, lam_col, p_w, var_n, rho_hint=None, max_iter=200)
     if rho_hint is not None:
         hi = np.maximum(hi, 2.0 * np.asarray(rho_hint, float))
     # expand until the power at rho=hi dips below the budget
+    pw_hi = _power_of_inverse(model, s, p, hi[:, None], lam_col, var_n)
     for _ in range(120):
-        pw_hi = _power_of_inverse(model, s, p, hi[:, None], lam_col, var_n)
         still = need & (pw_hi > p_w)
         if not np.any(still):
             break
         hi = np.where(still, hi * 4.0, hi)
+        pw_hi = _power_of_inverse(model, s, p, hi[:, None], lam_col, var_n)
     lo = np.where(need, hi / 4.0, 0.0)
-    lo = np.where(_power_of_inverse(model, s, p, lo[:, None], lam_col, var_n) > p_w, lo, 0.0)
+    pw_lo = _power_of_inverse(model, s, p, lo[:, None], lam_col, var_n)
+    keep = pw_lo > p_w
+    lo = np.where(keep, lo, 0.0)
 
+    # Illinois false position on the power excess, which is positive at lo
+    # and not positive at hi; the endpoint kept twice running has its
+    # excess halved, so the bracket closes superlinearly on both sides
+    f_lo = np.where(keep, pw_lo, pow0) - p_w
+    f_hi = pw_hi - p_w
     tol = 5e-10 * min(p_w, 1.0)
+    done = ~need | (np.abs(f_hi) <= tol)
+    x = np.where(done, hi, lo)
+    side = np.zeros(L)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        pw_mid = _power_of_inverse(model, s, p, mid[:, None], lam_col, var_n)
-        err = pw_mid - p_w
-        done = ~need | (np.abs(err) <= tol)
         if np.all(done):
             break
-        low_side = err > 0  # power too high -> raise rho
-        lo = np.where(need & low_side, mid, lo)
-        hi = np.where(need & ~low_side, mid, hi)
-    mid = 0.5 * (lo + hi)
-    return np.where(need, mid, 0.0)
+        x = np.where(done, x, hi - f_hi * (hi - lo) / (f_hi - f_lo))
+        err = _power_of_inverse(model, s, p, x[:, None], lam_col, var_n) - p_w
+        done = done | (np.abs(err) <= tol)
+        low_side = ~done & (err > 0)  # power too high -> raise rho
+        high_side = ~done & ~low_side
+        f_hi = np.where(low_side & (side > 0), 0.5 * f_hi, f_hi)
+        f_lo = np.where(high_side & (side < 0), 0.5 * f_lo, f_lo)
+        lo = np.where(low_side, x, lo)
+        f_lo = np.where(low_side, err, f_lo)
+        hi = np.where(high_side, x, hi)
+        f_hi = np.where(high_side, err, f_hi)
+        side = np.where(low_side, 1.0, np.where(high_side, -1.0, side))
+    return np.where(need, x, 0.0)
 
 
 def tune_rho(model: NoiseModel, signal: SignalAtoms, lam: float, budget: PowerBudget) -> float:
