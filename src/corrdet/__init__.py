@@ -17,6 +17,7 @@ from .cgf import (
 from .design import (
     DegenerateSignal,
     DetectorDesign,
+    GInverseNotConverged,
     QuantizerDesign,
     SignalAtoms,
     design_4ask,

@@ -88,22 +88,3 @@ def expand_bracket_max(f, hi0=1.0, hi_cap=math.inf, max_doublings=200):
         hi, f_hi = nxt, f_nxt
     return hi, evals
 
-
-def bisect_to_target(f, target, lo, hi,*, rtol, max_iter=200):
-    """Bisection for decreasing f: find x in [lo, hi] with f(x) ~ target.
-
-    Stops once |f(x) - target| <= rtol * max(|target|, 1).
-    """
-    tol = rtol * max(abs(target), 1.0)
-    a, b = float(lo), float(hi)
-    x = 0.5 * (a + b)
-    for _ in range(max_iter):
-        x = 0.5 * (a + b)
-        fx = f(x)
-        if abs(fx - target) <= tol:
-            return x
-        if fx > target:
-            a = x
-        else:
-            b = x
-    return x

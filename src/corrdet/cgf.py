@@ -2,12 +2,28 @@
 
 Each model class carries everything the rest of the package needs to
 know about its law: the closed-form cumulant generating function C(v)
-(``c``), its derivative (``cdot``), the complex-argument MGF (``mgf``),
-the half-width ``radius`` of the open interval on which C is finite,
-its config name, and the id of its Monte Carlo sampler.  The laws with
-an entire CGF also give an ``amplitude`` of Z that sizes w ranges where
-no pole does.  The functions below are model-agnostic and accept
-scalars or numpy arrays.
+(``c``), its first and second derivatives (``cdot``, ``cddot``), the
+complex-argument MGF (``mgf``), the half-width ``radius`` of the open
+interval on which C is finite, its config name, and the id of its Monte
+Carlo sampler.  The laws with an entire CGF also give an ``amplitude``
+of Z that sizes w ranges where no pole does.  The closed forms, with
+x = z0*v where the law has a z0:
+
+==============  ========================  ==========================================
+law             C(v)                      C''(v)
+==============  ========================  ==========================================
+Gaussian        var_z v^2 / 2             var_z
+Laplacian       -ln(1 - v^2/q^2)          2 (q^2 + v^2) / (q^2 - v^2)^2
+binary          ln cosh x                 z0^2 sech^2 x
+uniform         ln(sinh x / x)            z0^2 (1/x^2 - csch^2 x)
+mixture         ln M, M = delta cosh x    M''/M - (M'/M)^2
+                + (1-delta)/(1-v^2/q^2)
+==============  ========================  ==========================================
+
+Every form is evaluated without overflow for any v in the domain: the
+hyperbolic ones through e^{-2|x|}, the mixture with both parts scaled by
+e^{-|x|}.  The functions below are model-agnostic and accept scalars or
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -75,6 +91,9 @@ class Gaussian:
     def cdot(self, v):
         return self.var_z * v
 
+    def cddot(self, v):
+        return np.full(np.shape(v), float(self.var_z))
+
     def mgf(self, w):
         return np.exp(0.5 * self.var_z * w * w)
 
@@ -101,6 +120,10 @@ class Laplacian:
 
     def cdot(self, v):
         return 2.0 * v / (self.q ** 2 - v * v)
+
+    def cddot(self, v):
+        v2 = v * v
+        return 2.0 * (self.q ** 2 + v2) / (self.q ** 2 - v2) ** 2
 
     def mgf(self, w):
         return 1.0 / (1.0 - (w / self.q) ** 2)
@@ -129,6 +152,11 @@ class BinarySymmetric:
 
     def cdot(self, v):
         return self.z0 * np.tanh(self.z0 * v)
+
+    def cddot(self, v):
+        # z0^2 sech^2(x) = 4 z0^2 e^{-2|x|} / (1 + e^{-2|x|})^2
+        e = np.exp(-2.0 * np.abs(self.z0 * v))
+        return 4.0 * self.z0 ** 2 * e / (1.0 + e) ** 2
 
     def mgf(self, w):
         return np.cosh(self.z0 * w)
@@ -164,6 +192,18 @@ class Uniform:
         big = z0 / np.tanh(xs) - 1.0 / np.where(small, 1.0, v)
         series = z0 * (x / 3.0 - x ** 3 / 45.0)
         return np.where(small, series, big)
+
+    def cddot(self, v):
+        # z0^2 (1/x^2 - csch^2 x), csch^2 x = 4 e^{-2|x|} / (1 - e^{-2|x|})^2,
+        # with the even series 1/3 - x^2/15 + 2x^4/189 where it cancels
+        ax = np.abs(self.z0 * v)
+        small = ax < 1e-2
+        xs = np.where(small, 1.0, ax)
+        e = np.exp(-2.0 * xs)
+        big = (1.0 / xs) ** 2 - 4.0 * e / np.expm1(-2.0 * xs) ** 2
+        x2 = np.where(small, ax, 0.0) ** 2
+        series = 1.0 / 3.0 - x2 / 15.0 + 2.0 * x2 * x2 / 189.0
+        return self.z0 ** 2 * np.where(small, series, big)
 
     def mgf(self, w):
         x = self.z0 * w
@@ -221,6 +261,16 @@ class MixtureBinaryLaplace:
             1.0 - self.delta
         ) * lap_d * em
         return num / den
+
+    def cddot(self, v):
+        # M''/M - (M'/M)^2 for M = E e^{vZ}, M'' on the e^{-|x|}-scaled parts
+        _, _, em, em2, den = self._parts(v)
+        q2 = self.q ** 2
+        lap_dd = 2.0 * q2 * (q2 + 3.0 * v * v) / (q2 - v * v) ** 3
+        num = self.delta * self.z0 ** 2 * 0.5 * (1.0 + em2) + (
+            1.0 - self.delta
+        ) * lap_dd * em
+        return num / den - self.cdot(v) ** 2
 
     def mgf(self, w):
         return self.delta * np.cosh(self.z0 * w) + (1.0 - self.delta) / (

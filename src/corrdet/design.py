@@ -26,6 +26,10 @@ class DegenerateSignal(ValueError):
     """Signal with zero power cannot drive a correlator design."""
 
 
+class GInverseNotConverged(ArithmeticError):
+    """The inverse of the correlator weight map g missed its tolerance."""
+
+
 class EmptyCell(RuntimeError):
     """A quantizer interval lost all probability mass and could not be repaired."""
 
@@ -146,8 +150,14 @@ def g_eval(model: NoiseModel, w, rho: float, lam: float, var_n: float):
 def _g_inverse_arr(model, s, rho, lam, var_n, max_iter=160):
     """Vectorized inverse of g; rho and lam broadcast against s.
 
-    Pure bisection on the monotone g.  g is odd, so only |s| is solved
-    and the sign is restored afterwards; g_inverse(0) = 0 exactly.
+    Safeguarded Newton on the monotone g, with g' = lam*Cddot(lam*w) +
+    rho/lam + var_n*lam > 0: each element starts at the linearised root
+    s/g'(0), every probe shrinks its bisection bracket, a Newton step
+    that leaves the open bracket is replaced by the bracket midpoint, and
+    an element stops moving once |g(w)-s| <= 1e-10*(1+|s|).  g is odd,
+    so only |s| is solved and the sign is restored afterwards;
+    g_inverse(0) = 0 exactly.  Raises GInverseNotConverged when some
+    element is still outside the tolerance after max_iter probes.
     """
     s = np.asarray(s, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -166,26 +176,41 @@ def _g_inverse_arr(model, s, rho, lam, var_n, max_iter=160):
         hi = np.broadcast_to(target / (var_n * lam) + 1.0, shape).copy()
     else:
         hi = np.broadcast_to(cap, shape).copy()
-    # every midpoint stays below hi <= cap, so lam*w is inside the CGF
-    # domain and model.cdot is called without the per-call domain check
+    # every probe stays in [0, hi] with hi <= cap, so lam*w is inside the
+    # CGF domain and the model is called without the per-call domain check
     slope = rho / lam + var_n * lam
 
     tol = 1e-10 * (1.0 + target)
-    w = np.zeros(shape)
+    w = np.clip(target / (lam * model.cddot(0.0) + slope), lo, hi)
     for _ in range(max_iter):
-        w = 0.5 * (lo + hi)
-        gm = model.cdot(lam * w) + slope * w
-        if (np.abs(gm - target) <= tol).all():
+        v = lam * w
+        resid = model.cdot(v) + slope * w - target
+        done = np.abs(resid) <= tol
+        if done.all():
             break
-        high = gm > target
+        high = resid > 0
         np.copyto(hi, w, where=high)
         np.copyto(lo, w, where=~high)
+        step = w - resid / (lam * model.cddot(v) + slope)
+        inside = (step > lo) & (step < hi)
+        # converged elements stay put: their Newton step lands on the
+        # bracket end they just set, which would send them to bisection
+        w = np.where(done, w, np.where(inside, step, 0.5 * (lo + hi)))
+    else:
+        worst = float(np.max(np.abs(resid) / (1.0 + target)))
+        raise GInverseNotConverged(
+            f"g_inverse did not converge in {max_iter} probes for {model!r}: "
+            f"worst residual |g(w)-s|/(1+|s|) = {worst:.3g}, tolerance 1e-10"
+        )
     out = sign * w
     return np.where(target == 0.0, 0.0, out)
 
 
 def g_inverse(model: NoiseModel, s, rho: float, lam: float, var_n: float):
-    """Unique w with g(w) = s, to |g(w)-s| < 1e-10*(1+|s|)."""
+    """Unique w with g(w) = s, to |g(w)-s| <= 1e-10*(1+|s|).
+
+    Raises GInverseNotConverged rather than return a w outside that band.
+    """
     if lam <= 0:
         raise ValueError("lam must be > 0")
     if rho < 0:

@@ -87,8 +87,11 @@ def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
         raise DomainError("lam*sqrt(p_max) reaches the CGF pole")
     h = _h(model, lam * lam * np.linspace(0.0, p_max, 10_000))
     d2 = h[:-2] + h[2:] - 2.0 * h[1:-1]
-    has_pos = bool(np.any(d2 > 1e-10))
-    has_neg = bool(np.any(d2 < -1e-10))
+    # second differences within a few ulps of max|h| are the rounding of H,
+    # which at large lam^2 * p_max exceeds the absolute 1e-10 in both signs
+    tol = max(1e-10, 16.0 * np.finfo(float).eps * float(np.max(np.abs(h))))
+    has_pos = bool(np.any(d2 > tol))
+    has_neg = bool(np.any(d2 < -tol))
     if has_pos and has_neg:
         return "mixed"
     if has_neg:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 import corrdet as cd
@@ -192,3 +193,22 @@ def lower_hull_stack(x, y):
         stack[top] = i
         top += 1
     return stack[:top].copy()
+
+
+def g_inverse_brentq(model, s, rho, lam, var_n):
+    """Scalar w with Cdot(lam*w) + (rho/lam + var_n*lam)*w = s, by brentq.
+
+    Cdot >= 0 on w >= 0, so g(w) >= slope*w and [0, |s|/slope] brackets
+    the root, cut just inside the CGF pole where the model has one.
+    """
+    if s == 0.0:
+        return 0.0
+    slope = rho / lam + var_n * lam
+    target = abs(s)
+    hi = min(target / slope, cd.cgf_domain(model)[1] * (1.0 - 2e-9) / lam)
+
+    def excess(w):
+        return cd.cgf_deriv(model, lam * w) + slope * w - target
+
+    w = brentq(excess, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+    return math.copysign(w, s)

@@ -1,6 +1,7 @@
 """Noise model CGFs: closed forms, symmetry, convexity, sampling oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,81 @@ def test_derivative_monotone(model):
     grid = np.linspace(-cap, cap, 401)
     d = cd.cgf_deriv(model, grid)
     assert np.all(np.diff(d) >= -1e-12)
+
+
+def _even_moments(model):
+    """E[Z^2] and E[Z^4] of each law."""
+    if isinstance(model, cd.Gaussian):
+        return model.var_z, 3.0 * model.var_z ** 2
+    if isinstance(model, cd.Laplacian):
+        return 2.0 / model.q ** 2, 24.0 / model.q ** 4
+    if isinstance(model, cd.BinarySymmetric):
+        return model.z0 ** 2, model.z0 ** 4
+    if isinstance(model, cd.Uniform):
+        return model.z0 ** 2 / 3.0, model.z0 ** 4 / 5.0
+    d, z0, q = model.delta, model.z0, model.q
+    return d * z0 ** 2 + (1 - d) * 2.0 / q ** 2, d * z0 ** 4 + (1 - d) * 24.0 / q ** 4
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_second_derivative_matches_finite_difference(model):
+    lo, hi = cd.cgf_domain(model)
+    cap = 3.0 if math.isinf(hi) else 0.9 * hi
+    # the last three put the uniform's z0*v on both sides of its series switch
+    for v in np.concatenate([np.linspace(-cap, cap, 17), [3e-3, 3.4e-3, -3.3e-3]]):
+        h = 1e-6 * max(1.0, abs(v))
+        fd = (model.cdot(v + h) - model.cdot(v - h)) / (2 * h)
+        assert model.cddot(v) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_second_derivative_small_argument_series(model):
+    # C''(v) = k2 + k4 v^2 / 2 + O(v^4), with the cumulants of the law
+    m2, m4 = _even_moments(model)
+    k4 = m4 - 3.0 * m2 * m2
+    assert model.cddot(0.0) == pytest.approx(m2, rel=1e-14)
+    for v in (1e-5, -2e-4, 1e-3):
+        assert model.cddot(v) == pytest.approx(m2 + 0.5 * k4 * v * v, rel=1e-9)
+    assert np.shape(model.cddot(np.zeros((2, 3)))) == (2, 3)
+
+
+def test_uniform_second_derivative_across_series_switch():
+    # z0^2 (1/3 - x^2/15 + 2x^4/189 - x^6/675) on both sides of |x| = 1e-2
+    model = cd.Uniform(2.0)
+    for x in (1e-6, 9.9e-3, 1e-2, 1.01e-2, 3e-2):
+        series = 1.0 / 3.0 - x ** 2 / 15.0 + 2.0 * x ** 4 / 189.0 - x ** 6 / 675.0
+        assert model.cddot(x / 2.0) == pytest.approx(4.0 * series, rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [cd.BinarySymmetric(5.0), cd.Uniform(3.0), cd.MixtureBinaryLaplace(0.5, 200.0, 5.0)],
+    ids=lambda m: type(m).__name__,
+)
+def test_second_derivative_large_argument(model):
+    # |z0 v| from 400 up, where cosh and sinh overflow
+    v = np.array([400.0, 1e3, 1e5, 1e300]) / model.z0
+    v = v[v < cd.cgf_domain(model)[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.cddot(np.concatenate([v, -v]))
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "model", [cd.Laplacian(2.0), cd.MixtureBinaryLaplace(0.95, 0.5, 5.0)],
+    ids=lambda m: type(m).__name__,
+)
+def test_second_derivative_near_pole(model):
+    q = model.q
+    v = q * (1.0 - np.array([1e-6, 1e-9, 1e-12]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.cddot(np.concatenate([v, -v]))
+    assert np.all(np.isfinite(got))
+    # the Laplace part dominates there: 2 (q^2 + v^2) / (q^2 - v^2)^2
+    lap = cd.Laplacian(q).cddot(np.concatenate([v, -v]))
+    assert got == pytest.approx(lap, rel=1e-3)
 
 
 def _sample(model, rng, size):

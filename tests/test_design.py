@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import corrdet as cd
-from corrdet.design import _fourask_joint
+from corrdet.design import GInverseNotConverged, _fourask_joint, _g_inverse_arr
+from oracles import g_inverse_brentq
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
 
@@ -66,6 +67,43 @@ class TestGMap:
             cd.g_eval(cd.Gaussian(1.0), 1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             cd.g_inverse(cd.Gaussian(1.0), 1.0, -0.1, 1.0, 1.0)
+
+    def test_matches_scalar_brentq(self):
+        # lam over six decades and rho in {0, 1, 100}, broadcast as columns
+        # against the atoms the way the design code calls it
+        lams, rhos = np.meshgrid(np.logspace(-3.0, 3.0, 7), [0.0, 1.0, 100.0])
+        lam_col, rho_col = lams.reshape(-1, 1), rhos.reshape(-1, 1)
+        s = np.array([-7.0, -0.3, 0.0, 1e-6, 0.5, 2.0, 30.0])
+        for model in MODELS:
+            w = _g_inverse_arr(model, s, rho_col, lam_col, 1.0)
+            for lam, rho, row in zip(lam_col[:, 0], rho_col[:, 0], w):
+                # g' >= slope, so the two tolerance bands differ by this much in w
+                bound = 2e-10 * (1.0 + np.abs(s)) / (rho / lam + lam)
+                ref = [g_inverse_brentq(model, x, rho, lam, 1.0) for x in s]
+                assert np.all(np.abs(row - ref) <= bound), (model, lam, rho)
+
+    def test_batch_equals_single_solves(self):
+        # 1e-9 converges on its first probe while the others need many; it
+        # must stay where it converged while the rest of the batch iterates
+        s = np.array([1e-9, 3.0, -40.0, 0.7])
+        rho, lam = np.asarray(0.2), np.asarray(0.9)
+        for model in MODELS:
+            batch = _g_inverse_arr(model, s, rho, lam, 1.0)
+            single = [_g_inverse_arr(model, np.array([x]), rho, lam, 1.0)[0] for x in s]
+            assert np.array_equal(batch, single), model
+
+    def test_unconverged_inverse_raises(self):
+        assert issubclass(GInverseNotConverged, ArithmeticError)  # CLI exit 3
+        with pytest.raises(GInverseNotConverged, match=r"Laplacian\(q=2\.0\).*residual"):
+            _g_inverse_arr(
+                cd.Laplacian(2.0), np.array([0.5, 3.0]), np.asarray(0.0), np.asarray(1.0),
+                1.0, max_iter=1,
+            )
+        # the linearised start is already the Gaussian root
+        model, rho, lam = cd.Gaussian(1.5), 0.3, 0.8
+        s = np.array([0.5, -3.0])
+        w = _g_inverse_arr(model, s, np.asarray(rho), np.asarray(lam), 1.0, max_iter=1)
+        assert w == pytest.approx(s / ((1.0 + 1.5) * lam + rho / lam), rel=1e-12)
 
 
 class TestTuneRho:

@@ -30,6 +30,12 @@ class TestCurvature:
         with pytest.raises(cd.DomainError):
             cd.classify_curvature(cd.Laplacian(1.0), 1.0, 2.0)
 
+    def test_gaussian_linear_at_large_scale(self):
+        # second differences of the line are a few ulps of H's size here,
+        # far above an absolute 1e-10, in both signs
+        assert cd.classify_curvature(cd.Gaussian(1.0), 0.25, 1e8) == "convex"
+        assert cd.classify_curvature(cd.Gaussian(3.0), 3.0, 1e12) == "convex"
+
 
 class TestStationaryLevels:
     def test_fig4_roots(self):
