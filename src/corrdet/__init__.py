@@ -41,7 +41,6 @@ from .exponents import (
 from .extended import (
     AlphaSweepResult,
     ExtendedDetectorSpec,
-    QuadratureFailure,
     c_alpha_abs,
     c_alpha_energy,
     fa_exponent_abs,

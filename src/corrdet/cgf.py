@@ -2,7 +2,9 @@
 
 Each model class carries everything the rest of the package needs to
 know about its law: the closed-form cumulant generating function C(v)
-(``c``), its first and second derivatives (``cdot``, ``cddot``), the
+(``c``), its first and second derivatives (``cdot``, ``cddot``), the two
+expectations the extended detectors need (``log_mgf_quad``,
+``log_mgf_ndtr``; their closed forms are tabled in ``extended``), the
 complex-argument MGF (``mgf``), the half-width ``radius`` of the open
 interval on which C is finite, its config name, and the id of its Monte
 Carlo sampler.  The laws with an entire CGF also give an ``amplitude``
@@ -33,8 +35,12 @@ from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import erf, erfcx, log_ndtr
 
 LN2 = math.log(2.0)
+LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+LN_SQRT_HALF_PI = 0.5 * math.log(0.5 * math.pi)
+SQRT2 = math.sqrt(2.0)
 
 # Relative margin kept away from a finite CGF pole.  Evaluation closer
 # than this is rejected so that optimizers see a clean feasibility edge
@@ -67,6 +73,90 @@ def _log_sinh_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, big)
 
 
+def _log_erfc_min(x):
+    # ln erfcx(x) - min(x, 0)^2, which is ln erfc(x) below 0 where erfcx overflows
+    neg = x < 0.0
+    return np.where(neg, LN2 + log_ndtr(-SQRT2 * x), np.log(erfcx(np.where(neg, 0.0, x))))
+
+
+def _log_erfcx(x):
+    m = np.minimum(x, 0.0)
+    return _log_erfc_min(x) + m * m
+
+
+def _log_npdf(x):
+    return -0.5 * x * x - LN_SQRT_2PI
+
+
+def _log_mills(u):
+    # Mills ratio R(u) = (1 - Phi(u)) / phi(u) = sqrt(pi/2) erfcx(u / sqrt(2))
+    return LN_SQRT_HALF_PI + _log_erfcx(u / SQRT2)
+
+
+# 1 - u R(u) ~ sum_n (-1)^{n+1} (2n-1)!! / u^{2n}; past u = 30 the next term is < 5e-15
+_SLOPE_SERIES = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0, 135135.0)
+
+
+def _log_neg_mills_slope(u):
+    # ln(-R'(u)) = ln(1 - u R(u)); the product cancels for large u, where
+    # the asymptotic series takes over
+    neg, big = u < 0.0, u > 30.0
+    left = np.logaddexp(0.0, np.log(np.where(neg, -u, 1.0)) + _log_mills(np.minimum(u, 0.0)))
+    mid = np.clip(u, 0.0, 30.0)
+    centre = np.log1p(-mid * math.exp(LN_SQRT_HALF_PI) * erfcx(mid / SQRT2))
+    r = 1.0 / np.where(big, u, 30.0) ** 2
+    tail = 0.0
+    for coef in reversed(_SLOPE_SERIES):
+        tail = (tail + coef) * r
+    return np.where(neg, left, np.where(big, np.log(tail), centre))
+
+
+def _log_mills_ddiff(y, h):
+    """ln[(R(y) - R(y + h)) / h] for the Mills ratio R, any real y and h.
+
+    R is decreasing, so the divided difference is positive; at h = 0 it
+    is -R'(y).  Where ln R(y) - ln R(y + h) < 1e-5 the difference would
+    cancel, and the midpoint slope -R'(y + h/2) replaces it; both are
+    good to about 5e-11 relative at the switch.
+    """
+    y = np.where(h < 0.0, y + h, y)
+    h = np.abs(h)
+    x0, x1 = y / SQRT2, (y + h) / SQRT2
+    # min(x1, 0) - min(x0, 0), from h rather than the rounded y + h
+    m0, step = np.minimum(x0, 0.0), np.minimum(h, np.maximum(-y, 0.0)) / SQRT2
+    gap = _log_erfc_min(x0) - _log_erfc_min(x1) - step * (2.0 * m0 + step)
+    wide = gap > 1e-5
+    diff = (
+        _log_mills(y)
+        + np.log(-np.expm1(-np.where(wide, gap, 1.0)))
+        - np.log(np.where(wide, h, 1.0))
+    )
+    return np.where(wide, diff, _log_neg_mills_slope(y + 0.5 * h))
+
+
+def _log_half_line_ndtr(k, c, d):
+    """ln of the integral over t > 0 of e^{-k t} Phi(c t + d), for c != 0.
+
+    Falling Phi (c < 0) is finite for every k: phi(d) D(-d, k/|c|) / |c|,
+    D the Mills divided difference.  Rising Phi (c > 0) needs k > 0:
+    [Phi(d) + phi(d) R(d + k/c)] / k; it is +inf for k <= 0.
+    """
+    g = np.abs(c)
+    kap = k / g
+    rising = c > 0.0
+    ok = kap > 0.0
+    kp = np.where(ok, kap, 1.0)
+    up = np.logaddexp(log_ndtr(d), _log_npdf(d) + _log_mills(d + kp)) - np.log(kp)
+    up = np.where(ok, up, math.inf)
+    down = _log_npdf(d) + _log_mills_ddiff(-d, kap)
+    return np.where(rising, up, down) - np.log(g)
+
+
+def _log_diff_exp(a, b):
+    # ln(e^a - e^b) for a > b
+    return a + np.log(-np.expm1(b - a))
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Zero-mean Gaussian interference with variance ``var_z``."""
@@ -93,6 +183,14 @@ class Gaussian:
 
     def cddot(self, v):
         return np.full(np.shape(v), float(self.var_z))
+
+    def log_mgf_quad(self, a, b):
+        d = 1.0 + 2.0 * b * self.var_z
+        return 0.5 * a * a * self.var_z / d - 0.5 * np.log(d)
+
+    def log_mgf_ndtr(self, a, c, d):
+        s2 = self.var_z
+        return 0.5 * a * a * s2 + log_ndtr((d + a * c * s2) / np.sqrt(1.0 + c * c * s2))
 
     def mgf(self, w):
         return np.exp(0.5 * self.var_z * w * w)
@@ -124,6 +222,16 @@ class Laplacian:
     def cddot(self, v):
         v2 = v * v
         return 2.0 * (self.q ** 2 + v2) / (self.q ** 2 - v2) ** 2
+
+    def log_mgf_quad(self, a, b):
+        q, r = self.q, 2.0 * np.sqrt(b)
+        half_lines = np.logaddexp(_log_erfcx((q - a) / r), _log_erfcx((q + a) / r))
+        return np.log(0.5 * q * math.sqrt(math.pi) / r) + half_lines
+
+    def log_mgf_ndtr(self, a, c, d):
+        a, c, d = np.broadcast_arrays(a, c, d)
+        pos, neg = _log_half_line_ndtr(self.q - np.stack([a, -a]), np.stack([c, -c]), d)
+        return math.log(0.5 * self.q) + np.logaddexp(pos, neg)
 
     def mgf(self, w):
         return 1.0 / (1.0 - (w / self.q) ** 2)
@@ -157,6 +265,13 @@ class BinarySymmetric:
         # z0^2 sech^2(x) = 4 z0^2 e^{-2|x|} / (1 + e^{-2|x|})^2
         e = np.exp(-2.0 * np.abs(self.z0 * v))
         return 4.0 * self.z0 ** 2 * e / (1.0 + e) ** 2
+
+    def log_mgf_quad(self, a, b):
+        return _log_cosh(a * self.z0) - b * self.z0 ** 2
+
+    def log_mgf_ndtr(self, a, c, d):
+        x, y = a * self.z0, c * self.z0
+        return np.logaddexp(x + log_ndtr(d + y), -x + log_ndtr(d - y)) - LN2
 
     def mgf(self, w):
         return np.cosh(self.z0 * w)
@@ -204,6 +319,37 @@ class Uniform:
         x2 = np.where(small, ax, 0.0) ** 2
         series = 1.0 / 3.0 - x2 / 15.0 + 2.0 * x2 * x2 / 189.0
         return self.z0 ** 2 * np.where(small, series, big)
+
+    def log_mgf_quad(self, a, b):
+        # the Gaussian e^{az - bz^2}, even in a, peaks at a/2b; x1 and x0 are
+        # the scaled distances from that peak to +z0 and -z0
+        z0, a = self.z0, np.abs(a)
+        r = 2.0 * np.sqrt(b)
+        x1, x0 = (a - 2.0 * b * z0) / r, (a + 2.0 * b * z0) / r
+        base = 0.5 * np.log(math.pi / b) - math.log(4.0 * z0)
+        far = x1 > 1.0
+        an = np.where(far, 0.0, a)
+        erf_gap = erf(np.where(far, 1.0, x0)) - erf(np.where(far, 0.0, x1))
+        near = an * an / (r * r) + np.log(erf_gap)
+        tail = a * z0 - b * z0 * z0 + _log_diff_exp(
+            _log_erfcx(np.where(far, x1, 2.0)), -2.0 * a * z0 + _log_erfcx(np.where(far, x0, 3.0))
+        )
+        return base + np.where(far, tail, near)
+
+    def log_mgf_ndtr(self, a, c, d):
+        # the integral over [-z0, z0] is F(z0) - F(-z0) with F integrating up
+        # from -inf, or G(-z0) - G(z0) with G down from +inf; subtract the
+        # smaller outer part
+        z0 = self.z0
+        a, c, d = np.broadcast_arrays(a, c, d)
+        up, lo = c * z0 + d, d - c * z0
+        # F(z0), F(-z0), G(-z0), G(z0) in one call
+        f1, f0, g0, g1 = np.stack([a, -a, -a, a]) * z0 + _log_half_line_ndtr(
+            np.stack([a, a, -a, -a]), np.stack([-c, -c, c, c]), np.stack([up, lo, lo, up])
+        )
+        use_f = f0 <= g1
+        inner = _log_diff_exp(np.where(use_f, f1, g0), np.where(use_f, f0, g1))
+        return inner - math.log(2.0 * z0)
 
     def mgf(self, w):
         x = self.z0 * w
@@ -272,6 +418,20 @@ class MixtureBinaryLaplace:
         ) * lap_dd * em
         return num / den - self.cdot(v) ** 2
 
+    def _mix(self, binary, laplace):
+        return np.logaddexp(math.log(self.delta) + binary, math.log1p(-self.delta) + laplace)
+
+    def log_mgf_quad(self, a, b):
+        return self._mix(
+            BinarySymmetric(self.z0).log_mgf_quad(a, b), Laplacian(self.q).log_mgf_quad(a, b)
+        )
+
+    def log_mgf_ndtr(self, a, c, d):
+        return self._mix(
+            BinarySymmetric(self.z0).log_mgf_ndtr(a, c, d),
+            Laplacian(self.q).log_mgf_ndtr(a, c, d),
+        )
+
     def mgf(self, w):
         return self.delta * np.cosh(self.z0 * w) + (1.0 - self.delta) / (
             1.0 - (w / self.q) ** 2
@@ -332,8 +492,8 @@ def cgf_deriv(model: NoiseModel, v):
 def mgf_complex(model: NoiseModel, w):
     """E exp(wZ) for complex w with |Re w| inside the CGF domain.
 
-    Used by the extended-detector transforms, where the characteristic
-    direction enters as an imaginary offset of the exponential tilt.
+    No corrdet code calls it.  It stays, with each model's ``mgf``,
+    because corrbench/tracer.py wraps this name without a default.
     """
     arr = np.asarray(w, dtype=complex)
     _check_domain(model, arr.real)

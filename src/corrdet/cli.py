@@ -29,7 +29,6 @@ from .exponents import JointAtoms, PowerBudget, fa_exponent, md_exponent
 from .extended import (
     ExtendedDetectorSpec,
     Infeasible,
-    QuadratureFailure,
     fa_exponent_abs,
     fa_exponent_energy,
     md_exponent_abs,
@@ -50,7 +49,6 @@ _NUMERIC_ERRORS = (
     DegenerateTilt,
     InsufficientData,
     Infeasible,
-    QuadratureFailure,
     ArithmeticError,
 )
 

@@ -270,7 +270,8 @@ def _tune_rho_arr(model, s, p, lam_col, p_w, var_n, rho_hint=None, max_iter=200)
     for _ in range(max_iter):
         if np.all(done):
             break
-        x = np.where(done, x, hi - f_hi * (hi - lo) / (f_hi - f_lo))
+        act = ~done  # a done tilt may have f_hi == f_lo
+        x[act] = hi[act] - f_hi[act] * (hi[act] - lo[act]) / (f_hi[act] - f_lo[act])
         err = _power_of_inverse(model, s, p, x[:, None], lam_col, var_n) - p_w
         done = done | (np.abs(err) <= tol)
         low_side = ~done & (err > 0)  # power too high -> raise rho

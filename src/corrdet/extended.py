@@ -1,35 +1,65 @@
 """Detectors combining correlation with energy or absolute-value terms.
 
 The statistic is sum_t w_t Y_t + alpha * sum_t Y_t^2 (kind="energy") or
-sum_t w_t Y_t + alpha * sum_t |Y_t| (kind="abs").  The quadratic/absolute
-terms enter the Chernoff bounds through transform-domain integrals
-(Gaussian and Lorentzian kernels respectively), evaluated here by
-adaptive quadrature over the transform variable; the inner expectation
-over the interference uses the closed-form complex-argument MGF.
+sum_t w_t Y_t + alpha * sum_t |Y_t| (kind="abs"), with Y = s + X and
+X = Z + N.  Per atom the Chernoff bounds need ln E exp(-v X - c X^2)
+(energy) or ln E exp(-v X - c |s + X|) (abs), with v = lam*w (lam*u for
+energy) and c = alpha*lam.  Both are closed form.  The expectation over
+the Gaussian N completes the square (energy) or splits at s + X = 0
+into two Gaussian tails (abs).  What is left is one expectation over Z
+that each model class in ``cgf`` carries next to its CGF:
+
+    log_mgf_quad(a, b)     = ln E e^{aZ - bZ^2},  b > 0   (energy)
+    log_mgf_ndtr(a, c, d)  = ln E e^{aZ} Phi(cZ + d)      (abs)
+
+=========  =====================================  ========================================
+law        E e^{aZ - bZ^2}                        E e^{aZ} Phi(cZ + d)
+=========  =====================================  ========================================
+Gaussian   e^{a^2 var_z / 2D} / sqrt(D),          e^{a^2 var_z / 2}
+           D = 1 + 2 b var_z                      Phi((d + a c var_z) / sqrt(1 + c^2 var_z))
+binary     e^{-b z0^2} cosh(a z0)                 [e^{a z0} Phi(d + c z0)
+                                                  + e^{-a z0} Phi(d - c z0)] / 2
+uniform    sqrt(pi/b) e^{a^2/4b}                  [F(z0) - F(-z0)] / 2z0, F(z) = e^{az}
+           [erf(x0) - erf(x1)] / 4z0              H(a, -c, cz + d); or [G(-z0) - G(z0)]
+                                                  / 2z0, G(z) = e^{az} H(-a, c, cz + d)
+Laplacian  q sqrt(pi) [erfcx((q-a) / 2 sqrt(b))   q [H(q-a, c, d) + H(q+a, -c, d)] / 2
+           + erfcx((q+a) / 2 sqrt(b))] / 4 sqrt(b)
+mixture    delta binary + (1-delta) Laplacian     delta binary + (1-delta) Laplacian
+=========  =====================================  ========================================
+
+For the uniform, x1, x0 = (|a| -+ 2b z0) / 2 sqrt(b) are the scaled
+distances from the peak of e^{|a|z - bz^2} to z0 and -z0; once x1 > 1 the
+erf difference is taken as e^{|a| z0 - b z0^2 - a^2/4b} [erfcx(x1) -
+e^{-2|a| z0} erfcx(x0)].  F integrates up from -inf and G down from +inf
+(G needs a < 0 when c > 0); the one whose outer part is smaller is
+subtracted.  H(k, c, d) is the integral of e^{-kt} Phi(ct + d) over t > 0:
+[Phi(d) + phi(d) R(d + k/c)] / k for c > 0, and phi(d) [R(-d) - R(-d +
+k/|c|)] / k for c < 0 (any k), with R = (1 - Phi) / phi the Mills ratio.
+Every form is evaluated in log space, with erfcx and log_ndtr for the
+tails, so nothing overflows.
+
+The energy objective is finite for every tilt lam >= 0, since -c X^2
+outweighs any exponential tail of Z.  The abs objective is finite while
+lam (max|w| - alpha) stays below the model's CGF radius q.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  (unused; corrbench/tracer.py wraps this name)
 from scipy.special import log_ndtr
 
 from . import cgf as _cgf
 from ._optim import expand_bracket_max, golden_max
-from .cgf import NoiseModel
+from .cgf import DomainError, NoiseModel
 from .exponents import ExponentResult, JointAtoms, PowerBudget, fa_exponent, md_exponent
 
 # Below this coefficient the quadratic/absolute kernels degenerate; fall
 # back to the plain-correlator code path.
 ALPHA_PLAIN = 1e-8
-
-
-class QuadratureFailure(ArithmeticError):
-    """Adaptive quadrature could not reach the requested accuracy."""
 
 
 class Infeasible(ValueError):
@@ -84,55 +114,59 @@ def fa_exponent_energy(theta: float, budget: PowerBudget, alpha: float) -> Expon
     return ExponentResult(float(val), float(lam_star), {"iterations": it, "bracket": (0.0, pole)})
 
 
-def _quad_or_fail(f, lo, hi, limit):
-    # scipy may warn about roundoff near machine accuracy; the returned
-    # error bound is the gate that matters here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=limit)
-    if not math.isfinite(val) or err > 1e-9 * (1.0 + abs(val)):
-        raise QuadratureFailure(f"quadrature error {err!r} for value {val!r}")
-    return val
-
-
-def c_alpha_energy(model: NoiseModel, v: float, alpha: float, lam: float, var_n: float) -> float:
-    """Transform-domain CGF replacing C(v) when an energy term is present.
-
-    Satisfies ln E exp(-v X - alpha lam X^2) = C_alpha(v) + var_n v^2 / 2
-    for X = Z + N with v = lam*u, which is the identity used to test it.
-    """
+def _check_lam_alpha(lam, alpha):
     if lam <= 0:
         raise ValueError("lam must be > 0")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+
+
+def _as_output(out, *inputs):
+    return out if any(np.ndim(x) for x in inputs) else float(out)
+
+
+def c_alpha_energy(model: NoiseModel, v, alpha: float, lam: float, var_n: float):
+    """CGF replacing C(v) when an energy term is present.
+
+    Satisfies ln E exp(-v X - alpha lam X^2) = C_alpha(v) + var_n v^2 / 2
+    for X = Z + N with v = lam*u, which is the identity used to test it.
+    Finite for every v.  Scalars give a float, arrays an array.
+    """
+    _check_lam_alpha(lam, alpha)
     if alpha <= ALPHA_PLAIN:
         return _cgf.cgf_eval(model, v)
-    _cgf._check_domain(model, np.asarray(float(v)))
-    kappa = 0.5 * var_n + 1.0 / (4.0 * alpha * lam)
-    q_max = math.sqrt(80.0 / kappa)
-
-    def integrand(q):
-        inner = _cgf.mgf_complex(model, -v + 1j * q) * np.exp(-1j * var_n * v * q)
-        return inner.real * math.exp(-kappa * q * q)
-
-    val = 2.0 * _quad_or_fail(integrand, 0.0, q_max, limit=300)
-    if val <= 0.0:
-        raise QuadratureFailure("non-positive transform integral")
-    return math.log(val) - 0.5 * math.log(4.0 * math.pi * alpha * lam)
+    v = np.asarray(v, dtype=float)
+    c = alpha * lam
+    d = 1.0 + 2.0 * c * var_n
+    # E over N: (-v z - c z^2 + var_n v^2 / 2) / d - ln(d) / 2 at Z = z
+    out = (
+        model.log_mgf_quad(-v / d, c / d)
+        - c * var_n * var_n * v * v / d
+        - 0.5 * math.log1p(2.0 * c * var_n)
+    )
+    return _as_output(out, v)
 
 
 def _sup_concave(f, cap=math.inf, rel_tol=1e-11, max_iter=140):
     hi, _ = expand_bracket_max(f, hi0=min(1.0, cap), hi_cap=cap)
     lam_star, val, it = golden_max(f, 0.0, hi, rel_tol=rel_tol, max_iter=max_iter)
+    diag = {
+        "iterations": it,
+        "bracket": (0.0, hi),
+        "edge_hit": bool(hi >= cap and lam_star >= hi * (1.0 - 1e-8)),
+    }
     if val <= 0.0:
-        return ExponentResult(0.0, 0.0, {"iterations": it, "bracket": (0.0, hi)})
-    return ExponentResult(float(val), float(lam_star), {"iterations": it, "bracket": (0.0, hi)})
+        return ExponentResult(0.0, 0.0, diag)
+    return ExponentResult(float(val), float(lam_star), diag)
 
 
 def md_exponent_energy(
     spec: ExtendedDetectorSpec, budget: PowerBudget, model: NoiseModel
 ) -> ExponentResult:
-    """MD exponent of the correlation+energy detector on the given atoms."""
+    """MD exponent of the correlation+energy detector on the given atoms.
+
+    The objective is finite for every tilt, so the search has no cap.
+    """
     if spec.kind != "energy":
         raise ValueError("spec.kind must be 'energy'")
     if spec.alpha <= ALPHA_PLAIN:
@@ -147,18 +181,13 @@ def md_exponent_energy(
     drift = e_su - alpha * e_s2 - spec.theta
     var_n = budget.var_n
 
-    cap = _cgf.tilt_cap(model, float(np.max(np.abs(u))))
-
     def f(lam):
         if lam <= 0.0:
             return 0.0
-        c_sum = sum(
-            pi * c_alpha_energy(model, lam * ui, alpha, lam, var_n)
-            for pi, ui in zip(p, u)
-        )
+        c_sum = float(np.dot(p, c_alpha_energy(model, lam * u, alpha, lam, var_n)))
         return lam * drift - 0.5 * lam * lam * var_n * e_u2 - c_sum
 
-    return _sup_concave(f, cap=cap, rel_tol=1e-10, max_iter=120)
+    return _sup_concave(f, rel_tol=1e-10, max_iter=120)
 
 
 def fa_exponent_abs(
@@ -194,43 +223,46 @@ def fa_exponent_abs(
     return _sup_concave(f, rel_tol=1e-12)
 
 
-def c_alpha_abs(
-    model: NoiseModel, v: float, s: float, alpha: float, lam: float, var_n: float
-) -> float:
-    """Transform-domain CGF replacing C(v) when an |.| term is present.
+def c_alpha_abs(model: NoiseModel, v, s, alpha: float, lam: float, var_n: float):
+    """CGF replacing C(v) when an |.| term is present.
 
     Satisfies ln E exp(-lam w X - alpha lam |s + X|) = C_alpha(lam w, s)
-    + var_n (lam w)^2 / 2 for X = Z + N.  The Lorentzian kernel is
-    flattened by a tangent substitution; the Gaussian factor truncates
-    the range with tail mass below 1e-12.
+    + var_n (lam w)^2 / 2 for X = Z + N.  Finite while |v| - alpha lam
+    stays below the model's CGF radius; raises DomainError past the pole
+    margin.  Scalars give a float, arrays an array.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _check_lam_alpha(lam, alpha)
     if alpha <= ALPHA_PLAIN:
         return _cgf.cgf_eval(model, v)
-    _cgf._check_domain(model, np.asarray(float(v)))
-    a = alpha * lam
-    q_max = math.sqrt(160.0 / var_n)
-    u_max = math.atan(q_max / a)
-    phase = s - var_n * v
-
-    def integrand(u):
-        q = a * math.tan(u)
-        inner = _cgf.mgf_complex(model, -v + 1j * q) * np.exp(1j * q * phase)
-        return inner.real * math.exp(-0.5 * var_n * q * q)
-
-    val = (2.0 / math.pi) * _quad_or_fail(integrand, 0.0, u_max, limit=400)
-    if val <= 0.0:
-        raise QuadratureFailure("non-positive transform integral")
-    return math.log(val)
+    v, s = np.asarray(v, dtype=float), np.asarray(s, dtype=float)
+    c = alpha * lam
+    edge = _cgf._pole(model)
+    if edge < math.inf and np.any(np.abs(v) - c >= edge):
+        raise DomainError(
+            f"|v| - alpha*lam must stay below {edge!r} (pole margin "
+            f"{_cgf.POLE_MARGIN}) for {model!r}"
+        )
+    sig = math.sqrt(var_n)
+    # E over N at Z = z: Y = s + z + N carries the tilt -(v + c) above 0
+    # (sign +1) and -(v - c) below (sign -1); both tails in one call
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(v * s))
+    t = -(v + sign * c)
+    up, dn = (
+        -sign * c * s
+        + 0.5 * var_n * c * (c + 2.0 * sign * v)
+        + model.log_mgf_ndtr(t, sign / sig, sign * (s + t * var_n) / sig)
+    )
+    return _as_output(np.logaddexp(up, dn), v, s)
 
 
 def md_exponent_abs(
     spec: ExtendedDetectorSpec, budget: PowerBudget, model: NoiseModel
 ) -> ExponentResult:
-    """MD exponent of the correlation+|.| detector on the given atoms."""
+    """MD exponent of the correlation+|.| detector on the given atoms.
+
+    The search is capped where lam (max|w| - alpha) reaches the pole, if
+    the model has one and max|w| > alpha.
+    """
     if spec.kind != "abs":
         raise ValueError("spec.kind must be 'abs'")
     if spec.alpha <= ALPHA_PLAIN:
@@ -242,15 +274,12 @@ def md_exponent_abs(
     e_w2 = float(np.dot(p, w * w))
     var_n = budget.var_n
 
-    cap = _cgf.tilt_cap(model, float(np.max(np.abs(w))))
+    cap = _cgf.tilt_cap(model, max(float(np.max(np.abs(w))) - alpha, 0.0))
 
     def f(lam):
         if lam <= 0.0:
             return 0.0
-        c_sum = sum(
-            pi * c_alpha_abs(model, lam * wi, si, alpha, lam, var_n)
-            for pi, wi, si in zip(p, w, s)
-        )
+        c_sum = float(np.dot(p, c_alpha_abs(model, lam * w, s, alpha, lam, var_n)))
         return lam * (e_ws - spec.theta) - 0.5 * lam * lam * var_n * e_w2 - c_sum
 
     return _sup_concave(f, cap=cap, rel_tol=1e-10, max_iter=120)

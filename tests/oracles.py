@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr, ndtr, ndtri
 
 import corrdet as cd
@@ -90,6 +90,41 @@ def c_alpha_abs_direct(model, w, s, alpha, lam, var_n):
         return hi + lo
 
     return math.log(expect_over_z(model, inner)) - 0.5 * var_n * v * v
+
+
+def extended_md_direct(model, kind, joint, alpha, theta, var_n, lam_hi):
+    """MD exponent of an extended detector by bounded Brent on [0, lam_hi]
+    over the objective built from the direct transforms above.
+
+    Returns (value, lambda_star); the value is clipped at 0 like an
+    exponent.  lam_hi must keep the objective finite (below the abs
+    kind's tilt cap) and should lie well past the maximizer.
+    """
+    w, s, p = joint.w, joint.s, joint.weight
+
+    def objective(lam):
+        if kind == "energy":
+            u = w + 2 * alpha * s
+            drift = float(np.dot(p, s * u)) - alpha * float(np.dot(p, s * s)) - theta
+            quad_term = float(np.dot(p, u * u))
+            c_sum = sum(
+                pi * c_alpha_energy_direct(model, lam * ui, alpha, lam, var_n)
+                for pi, ui in zip(p, u)
+            )
+        else:
+            drift = float(np.dot(p, w * s)) - theta
+            quad_term = float(np.dot(p, w * w))
+            c_sum = sum(
+                pi * c_alpha_abs_direct(model, wi, si, alpha, lam, var_n)
+                for pi, wi, si in zip(p, w, s)
+            )
+        return lam * drift - 0.5 * lam * lam * var_n * quad_term - c_sum
+
+    res = minimize_scalar(
+        lambda lam: -objective(lam), bounds=(1e-9, lam_hi), method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return max(-float(res.fun), 0.0), float(res.x)
 
 
 def md_probability_exhaustive_binary(model, w, s, theta, var_n):

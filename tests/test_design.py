@@ -1,6 +1,7 @@
 """Correlator design: g-map, power tuning, and the design family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ class TestDesignOptimal:
             e_bin = cd.md_exponent(cd.design_binary(sig, BUD), theta, BUD, model).value
             assert d.e_md.value >= e_cl - 1e-9
             assert d.e_md.value >= e_bin - 1e-9
+
+    def test_rho_search_warning_free(self):
+        # the false-position step is formed only for tilts still searching;
+        # a finished tilt can have f_hi == f_lo
+        model = cd.BinarySymmetric(7.0)
+        rng = np.random.default_rng(1)
+        sig = cd.SignalAtoms(rng.normal(size=8) * 4, np.full(8, 1 / 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for theta in [0.5, 1.0, 2.0]:
+                cd.design_optimal(model, sig, theta, BUD)
 
 
 class TestClassicalAndBinary:

@@ -1,17 +1,22 @@
 """Correlation+energy and correlation+|.| detectors."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
 import corrdet as cd
+from corrdet.cli import main
+from corrdet.extended import _sup_concave
 from oracles import (
     abs_detector_mc_slope,
     c_alpha_abs_direct,
     c_alpha_energy_direct,
     energy_detector_mc_slope,
+    extended_md_direct,
 )
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
@@ -280,3 +285,115 @@ class TestAlphaSweep:
                           [1.0, -1.0], [0.5, 0.5]),
         ).value
         assert fa == pytest.approx(0.1, abs=2e-6)
+
+
+# The point-design cases bounded by a CGF pole: atoms (+-1, +-1, 1/2),
+# alpha = 0.25, theta = 0.3, with the direct oracle's exponents.
+POLE_CASES = [
+    ({"type": "laplacian", "q": 2.0}, "energy", 0.34322480576967),
+    ({"type": "laplacian", "q": 2.0}, "abs", 0.29079739256884),
+    (
+        {"type": "mixture_binary_laplace", "delta": 0.5, "z0": 1.0, "q": 2.0},
+        "energy",
+        0.31326155673748,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "model_cfg, kind, want",
+    POLE_CASES,
+    ids=["laplacian2-energy", "laplacian2-abs", "mixture-energy"],
+)
+def test_cli_pole_bounded_cases(tmp_path, model_cfg, kind, want):
+    cfg = {
+        "model": model_cfg,
+        "budget": {"p_w": 1.0, "var_n": 1.0},
+        "joint": {"atoms": [[1.0, 1.0, 0.5], [-1.0, -1.0, 0.5]]},
+        "theta": 0.3,
+        "extended": {"kind": kind, "alpha": 0.25},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main(["extended", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["e_md"] == pytest.approx(want, rel=1e-6)
+
+
+class TestTiltDomain:
+    ATOMS = cd.JointAtoms([2.0, -2.0], [2.0, -2.0], [0.5, 0.5])
+
+    def test_abs_supremum_not_at_cap(self):
+        # the abs objective tends to -inf at its cap q / (max|w| - alpha) = 0.571;
+        # the supremum sits inside
+        spec = cd.ExtendedDetectorSpec(self.ATOMS, 0.25, 0.0, "abs")
+        res = cd.md_exponent_abs(spec, BUD, cd.Laplacian(1.0))
+        assert res.value == pytest.approx(0.71380913066289, rel=1e-6)
+        assert res.lambda_star == pytest.approx(0.2957, abs=1e-3)
+        assert res.diagnostics["edge_hit"] is False
+
+    def test_energy_searched_past_pole(self):
+        # finite for every tilt: the maximizer lies past q / max|u| = 1/3
+        spec = cd.ExtendedDetectorSpec(self.ATOMS, 0.25, 0.0, "energy")
+        res = cd.md_exponent_energy(spec, BUD, cd.Laplacian(1.0))
+        assert res.value == pytest.approx(0.91701143108733, rel=1e-6)
+        assert res.lambda_star == pytest.approx(0.3975, abs=1e-3)
+        assert res.diagnostics["edge_hit"] is False
+
+    def test_energy_transform_finite_past_pole(self):
+        model = cd.Laplacian(1.0)
+        got = cd.c_alpha_energy(model, 3.0, 0.25, 2.0, 1.0)
+        assert got == pytest.approx(c_alpha_energy_direct(model, 3.0, 0.25, 2.0, 1.0), abs=1e-6)
+
+    def test_abs_transform_domain(self):
+        model = cd.Laplacian(1.0)
+        alpha, lam = 0.25, 2.0  # finite while |v| - alpha lam < q = 1
+        got = cd.c_alpha_abs(model, -1.0, 0.3, alpha, lam, 1.0)
+        want = c_alpha_abs_direct(model, -0.5, 0.3, alpha, lam, 1.0)
+        assert got == pytest.approx(want, abs=1e-6)
+        with pytest.raises(cd.DomainError):
+            cd.c_alpha_abs(model, 1.5, 0.3, alpha, lam, 1.0)
+
+    def test_edge_hit_at_finite_cap(self):
+        assert _sup_concave(lambda lam: lam, cap=2.0).diagnostics["edge_hit"] is True
+        interior = _sup_concave(lambda lam: lam - lam * lam, cap=2.0)
+        assert interior.diagnostics["edge_hit"] is False
+
+
+def test_transforms_accept_atom_arrays():
+    model = cd.MixtureBinaryLaplace(0.5, 1.0, 2.0)
+    v, s = np.array([0.4, -0.7, 1.1]), np.array([1.0, 0.0, -2.0])
+    e = cd.c_alpha_energy(model, v, 0.3, 0.9, 1.0)
+    a = cd.c_alpha_abs(model, v, s, 0.3, 0.9, 1.0)
+    for i in range(3):
+        assert e[i] == cd.c_alpha_energy(model, v[i], 0.3, 0.9, 1.0)
+        assert a[i] == cd.c_alpha_abs(model, v[i], s[i], 0.3, 0.9, 1.0)
+
+
+SWEEP_MODELS = [
+    cd.Gaussian(1.0),
+    cd.BinarySymmetric(1.0),
+    cd.Uniform(1.0),
+    cd.Laplacian(1.0),
+    cd.MixtureBinaryLaplace(0.5, 1.0, 2.0),
+]
+SWEEP_ATOMS = cd.JointAtoms([1.5, -0.5, 0.2], [2.0, -1.0, 0.0], [0.3, 0.5, 0.2])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kind", ["energy", "abs"])
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: type(m).__name__)
+def test_md_matches_direct_oracle(model, kind, theta):
+    alpha = 0.25
+    spec = cd.ExtendedDetectorSpec(SWEEP_ATOMS, alpha, theta, kind)
+    md = cd.md_exponent_energy if kind == "energy" else cd.md_exponent_abs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = md(spec, BUD, model)
+    lam_hi = 4.0
+    if kind == "abs":  # stay well inside the cap, where the oracle's quadrature holds
+        lam_hi = min(lam_hi, 0.9 * model.radius / (1.5 - alpha))
+    want, lam_want = extended_md_direct(model, kind, SWEEP_ATOMS, alpha, theta, 1.0, lam_hi)
+    assert lam_want < 0.95 * lam_hi
+    assert math.isfinite(res.value)
+    assert res.value == pytest.approx(want, rel=1e-6, abs=1e-9)
