@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 import corrdet as cd
-from corrdet.cgf import DomainError, mgf_complex
+from corrdet.cgf import DomainError, _log_mills_ddiff, mgf_complex
 
 ALL_MODELS = [
     cd.Gaussian(2.0),
@@ -302,6 +304,81 @@ def test_mgf_complex_matches_cgf_on_real_axis():
             assert math.log(
                 abs(mgf_complex(model, complex(v, 0.0)))
             ) == pytest.approx(cd.cgf_eval(model, v), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("y", [-20.0, -3.0, -1e-3, 0.0, 0.7, 5.0, 29.0, 45.0])
+@pytest.mark.parametrize("h", [-2.0, -1e-3, -1e-7, 0.0, 1e-9, 1e-6, 3e-5, 0.1, 4.0])
+def test_mills_divided_difference(y, h):
+    # (R(y) - R(y+h)) / h for R(u) = int_0^inf e^{-ut - t^2/2} dt is the
+    # integral of e^{-yt - t^2/2} (1 - e^{-ht}) / h, or t e^{-yt - t^2/2} at
+    # h = 0; the grid crosses the midpoint switch and the series past u = 30
+    peak = max(-y, 0.0)
+    shift = -y * peak - 0.5 * peak * peak
+
+    def weight(t):
+        return t if h == 0.0 else -math.expm1(-h * t) / h
+
+    want = quad(
+        lambda t: weight(t) * math.exp(-y * t - 0.5 * t * t - shift),
+        0.0, peak + 40.0, points=[peak], epsabs=0.0, epsrel=1e-13, limit=500,
+    )[0]
+    got = float(_log_mills_ddiff(np.float64(y), np.float64(h)))
+    assert got == pytest.approx(math.log(want) + shift, abs=1e-9)
+
+
+def _log_expect_quad(model, log_f):
+    # ln E exp(log_f(Z)) by quadrature against the density, shifted by the peak
+    if isinstance(model, cd.BinarySymmetric):
+        return float(np.logaddexp(log_f(model.z0), log_f(-model.z0))) - math.log(2.0)
+    if isinstance(model, cd.MixtureBinaryLaplace):
+        return float(np.logaddexp(
+            math.log(model.delta) + _log_expect_quad(cd.BinarySymmetric(model.z0), log_f),
+            math.log1p(-model.delta) + _log_expect_quad(cd.Laplacian(model.q), log_f),
+        ))
+    if isinstance(model, cd.Uniform):
+        lo, hi = -model.z0, model.z0
+
+        def log_dens(z):
+            return -math.log(2.0 * model.z0)
+    else:
+        lo, hi = -400.0, 400.0
+        if isinstance(model, cd.Gaussian):
+            def log_dens(z):
+                return -z * z / (2.0 * model.var_z) - 0.5 * math.log(2.0 * math.pi * model.var_z)
+        else:
+            def log_dens(z):
+                return math.log(0.5 * model.q) - model.q * abs(z)
+    zs = np.linspace(lo, hi, 40001)
+    vals = [log_dens(z) + log_f(z) for z in zs]
+    peak, shift = float(zs[int(np.argmax(vals))]), max(vals)
+    pts = sorted({p for p in (0.0, peak, peak - 3.0, peak + 3.0) if lo < p < hi})
+    val = quad(lambda z: math.exp(log_dens(z) + log_f(z) - shift), lo, hi, points=pts,
+               epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+    return math.log(val) + shift
+
+
+# (a, b) for E e^{aZ - bZ^2}, reaching the uniform's erfcx form (|a| >> b)
+# and the Laplacian's half-line past the pole (|a| > q)
+QUAD_ARGS = [(0.3, 0.2), (-2.5, 0.05), (4.0, 0.5), (-0.01, 3.0)]
+# (a, c, d) for E e^{aZ} Phi(cZ + d), reaching both of the uniform's
+# subtractions and falling half-lines with negative rate
+NDTR_ARGS = [(-3.0, 1.0, 5.0), (3.0, 1.0, 0.5), (-0.5, -2.0, 1.0), (0.0, 1.0, 0.0),
+             (2.2, -0.7, -3.0), (-1.9, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_extended_expectations_match_quadrature(model):
+    for a, b in QUAD_ARGS:
+        got = float(model.log_mgf_quad(np.float64(a), np.float64(b)))
+        want = _log_expect_quad(model, lambda z: a * z - b * z * z)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10), (a, b)
+    q = getattr(model, "radius", math.inf)
+    for a, c, d in NDTR_ARGS:
+        if a * math.copysign(1.0, c) >= q:
+            continue  # the rising tail diverges
+        got = float(model.log_mgf_ndtr(np.float64(a), np.float64(c), np.float64(d)))
+        want = _log_expect_quad(model, lambda z: a * z + float(log_ndtr(c * z + d)))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10), (a, c, d)
 
 
 class TestConfig:
