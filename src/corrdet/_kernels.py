@@ -2,10 +2,29 @@
 
 Both are plain numpy.  The sampler draws from SplitMix64 streams keyed
 by (seed, n, trial, index): every (trial, index) pair has its own
-counter-derived stream, so estimates do not depend on how the trials
-are chunked or split between workers.  It is the one place that
-branches on the noise model, by the ``kernel_id`` each model class
-declares, with the parameters that cgf.kernel_args lists.
+counter-derived streams j = 0, 1, 2, and each trial's sum over indices
+runs in a fixed order, so estimates do not depend on how the trials are
+chunked or split between workers.  It is the one place that branches on
+the noise model, by the ``kernel_id`` each model class declares, with
+the parameters that cgf.kernel_args lists.
+
+Only the interference Z is sampled.  Under the tilted measure the
+Gaussian noise part of the statistic is exactly normal given Z, so it is
+integrated out in closed form (conditional Monte Carlo).  Each sampler
+draws only the streams it reads:
+
+==========  =======  ======================================
+model       streams  use
+==========  =======  ======================================
+Gaussian    1, 2     Box-Muller
+Laplacian   1, 2     side of zero, exponential magnitude
+binary      1        sign
+uniform     1        inverse CDF of the tilted law
+mixture     0, 1, 2  component, then binary or Laplacian
+==========  =======  ======================================
+
+The Gaussian Z stays sampled although Z + N is Gaussian too, so the
+estimate keeps a sampling error like every other model's.
 """
 
 from __future__ import annotations
@@ -13,6 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import log_ndtr
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -85,35 +105,48 @@ def _sample_z(model_id, a0, a1, a2, tau, u0, u1, u2):
     return np.where(u0 < p_bin, z_bin, z_lap)
 
 
-def md_weights(
-    model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials,
-    chunk=2048,
-):
-    """Per-trial importance weights (0 outside the miss event)."""
+# Stream indices each sampler reads, by kernel_id.
+_STREAMS = ((1, 2), (1, 2), (1,), (1,), (0, 1, 2))
+
+# Elements (trials x indices) per chunk: small enough that every
+# temporary stays in cache, whatever the block length.
+_CHUNK_ELEMS = 2 ** 15
+
+
+def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials):
+    """Per-trial importance weights of the miss event, noise integrated out.
+
+    ``log_norm`` is sum_i C(lam w_i) + lam^2 var_n ||w||^2 / 2, the log
+    normalizer of the tilt on X = Z + N.  Under the tilt, given
+    a = sum_i w_i Z_i the noise term sum_i w_i N_i is normal with mean
+    -lam var_n ||w||^2 and variance sd^2 = var_n ||w||^2, so
+    E[1{a + sum w N <= thresh} e^{lam x + log_norm} | Z] is
+
+        exp(lam a + log_norm - lam^2 sd^2 / 2 + log Phi((thresh - a) / sd)).
+
+    With ||w|| = 0 the statistic is a itself and the weight is the
+    indicator times e^{lam a + log_norm}.
+    """
     n = w.shape[0]
-    sig = math.sqrt(var_n)
+    var_sum = var_n * float(np.dot(w, w))
+    sd = math.sqrt(var_sum)
     tau = -lam * w
+    uses = _STREAMS[model_id]
     out = np.empty(trials)
     t_row = np.arange(n, dtype=np.uint64)[None, :]
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        trial_col = np.arange(done, done + m, dtype=np.uint64)[:, None]
+    m = max(1, _CHUNK_ELEMS // n)
+    for done in range(0, trials, m):
+        stop = min(done + m, trials)
+        trial_col = np.arange(done, stop, dtype=np.uint64)[:, None]
         base = _stream_base(seed, n_tag, trial_col, t_row)
-        u0 = _draw(base, 0)
-        u1 = _draw(base, 1)
-        u2 = _draw(base, 2)
-        u3 = _draw(base, 3)
-        u4 = _draw(base, 4)
-        z = _sample_z(model_id, a0, a1, a2, tau[None, :], u0, u1, u2)
-        noise = tau[None, :] * var_n + sig * np.sqrt(-2.0 * np.log(u3)) * np.cos(
-            _TWO_PI * u4
-        )
-        x = (z + noise) @ w
-        out[done : done + m] = np.where(
-            x <= thresh, np.exp(lam * x + log_norm), 0.0
-        )
-        done += m
+        u = [_draw(base, j) if j in uses else None for j in range(3)]
+        z = _sample_z(model_id, a0, a1, a2, tau[None, :], *u)
+        a = np.einsum("ij,j->i", z, w)
+        if sd > 0.0:
+            log_w = lam * a + (log_norm - 0.5 * lam * lam * var_sum)
+            out[done:stop] = np.exp(log_w + log_ndtr((thresh - a) / sd))
+        else:
+            out[done:stop] = np.where(a <= thresh, np.exp(lam * a + log_norm), 0.0)
     return out
 
 

@@ -160,12 +160,22 @@ def _sup_concave(f, cap=math.inf, rel_tol=1e-11, max_iter=140):
     return ExponentResult(float(val), float(lam_star), diag)
 
 
+def _unbounded():
+    # the statistic cannot fall below theta: the miss probability is 0 and
+    # the objective grows without bound in lam
+    diag = {"iterations": 0, "bracket": (0.0, math.inf), "edge_hit": False, "unbounded": True}
+    return ExponentResult(math.inf, math.inf, diag)
+
+
 def md_exponent_energy(
     spec: ExtendedDetectorSpec, budget: PowerBudget, model: NoiseModel
 ) -> ExponentResult:
     """MD exponent of the correlation+energy detector on the given atoms.
 
     The objective is finite for every tilt, so the search has no cap.
+    Per index w Y + alpha Y^2 >= -w^2 / (4 alpha), so for theta <=
+    -E[W^2] / (4 alpha) a miss is impossible and the exponent is +inf,
+    flagged ``unbounded`` in the diagnostics.
     """
     if spec.kind != "energy":
         raise ValueError("spec.kind must be 'energy'")
@@ -179,6 +189,8 @@ def md_exponent_energy(
     e_s2 = float(np.dot(p, s * s))
     e_u2 = float(np.dot(p, u * u))
     drift = e_su - alpha * e_s2 - spec.theta
+    if spec.theta <= -float(np.dot(p, w * w)) / (4.0 * alpha):
+        return _unbounded()
     var_n = budget.var_n
 
     def f(lam):
@@ -261,7 +273,10 @@ def md_exponent_abs(
     """MD exponent of the correlation+|.| detector on the given atoms.
 
     The search is capped where lam (max|w| - alpha) reaches the pole, if
-    the model has one and max|w| > alpha.
+    the model has one and max|w| > alpha.  With every |w| <= alpha,
+    w Y + alpha |Y| >= 0, with equality only at Y = 0 where |w| < alpha.
+    A miss is then impossible for theta < 0, and for theta = 0 once some
+    |w| < alpha: the exponent is +inf, flagged ``unbounded``.
     """
     if spec.kind != "abs":
         raise ValueError("spec.kind must be 'abs'")
@@ -273,8 +288,13 @@ def md_exponent_abs(
     e_ws = float(np.dot(p, w * s))
     e_w2 = float(np.dot(p, w * w))
     var_n = budget.var_n
+    abs_w = np.abs(w)
+    if np.all(abs_w <= alpha) and (
+        spec.theta < 0.0 or (spec.theta == 0.0 and np.any(abs_w < alpha))
+    ):
+        return _unbounded()
 
-    cap = _cgf.tilt_cap(model, max(float(np.max(np.abs(w))) - alpha, 0.0))
+    cap = _cgf.tilt_cap(model, max(float(np.max(abs_w)) - alpha, 0.0))
 
     def f(lam):
         if lam <= 0.0:

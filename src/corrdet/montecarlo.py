@@ -5,6 +5,14 @@ probability is exact.  The MD probability is estimated by importance
 sampling with per-index exponential tilting matched to the Chernoff
 optimizer; regressing -ln(prob) on n yields an empirical exponent slope
 to compare against the analytic one.
+
+Only the interference Z is sampled.  The Gaussian noise enters the
+statistic linearly, so given Z its part is normal and each trial's
+weight is its conditional expectation given Z, in closed form
+(conditional Monte Carlo, or Rao-Blackwellization).  That keeps the
+estimator unbiased and cannot raise its variance.  Samplers draw one
+uniform per index (binary, uniform), two (Gaussian, Laplacian) or three
+(mixture); see ``_kernels``.
 """
 
 from __future__ import annotations
@@ -87,8 +95,9 @@ def md_probability(
     length, with the regression slope of -ln(prob) on n attached.
 
     ``w`` and ``s`` are atom patterns tiled to each n.  A tilt of zero is
-    plain Monte Carlo; the per-index likelihood normalizers make the
-    estimator unbiased for any feasible tilt.
+    plain Monte Carlo over Z; the per-index likelihood normalizers make
+    the estimator unbiased for any feasible tilt.  The noise is integrated
+    out per trial.
     """
     lam = config.tilt_lambda
     var_n = budget.var_n

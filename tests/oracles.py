@@ -15,6 +15,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr, ndtr, ndtri
 
 import corrdet as cd
+from corrdet._kernels import _TWO_PI, _draw, _sample_z, _stream_base
 
 
 def expect_over_z(model, fn):
@@ -207,6 +208,43 @@ def abs_detector_mc_slope(model, w_pat, s_pat, alpha, theta, var_n, lam, n_value
         rel = vals.std(ddof=1) / math.sqrt(trials) / prob if prob > 0 else math.inf
         rows.append({"n": n, "prob_estimate": prob, "rel_stderr": rel})
     return cd.estimate_slope(rows)
+
+
+def md_weights_full_noise(
+    model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials,
+    chunk=2048,
+):
+    """Per-trial importance weights (0 outside the miss event), sampling
+    both Z and the noise N from the tilted law: the weight of a trial is
+    1{x <= thresh} e^{lam x + log_norm} with x = sum_i w_i (Z_i + N_i).
+
+    Z comes from the same streams as corrdet's kernel, so on one seed the
+    kernel's weight is this one's conditional expectation given Z."""
+    n = w.shape[0]
+    sig = math.sqrt(var_n)
+    tau = -lam * w
+    out = np.empty(trials)
+    t_row = np.arange(n, dtype=np.uint64)[None, :]
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        trial_col = np.arange(done, done + m, dtype=np.uint64)[:, None]
+        base = _stream_base(seed, n_tag, trial_col, t_row)
+        u0 = _draw(base, 0)
+        u1 = _draw(base, 1)
+        u2 = _draw(base, 2)
+        u3 = _draw(base, 3)
+        u4 = _draw(base, 4)
+        z = _sample_z(model_id, a0, a1, a2, tau[None, :], u0, u1, u2)
+        noise = tau[None, :] * var_n + sig * np.sqrt(-2.0 * np.log(u3)) * np.cos(
+            _TWO_PI * u4
+        )
+        x = (z + noise) @ w
+        out[done : done + m] = np.where(
+            x <= thresh, np.exp(lam * x + log_norm), 0.0
+        )
+        done += m
+    return out
 
 
 def lower_hull_stack(x, y):

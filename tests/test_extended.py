@@ -360,6 +360,43 @@ class TestTiltDomain:
         assert interior.diagnostics["edge_hit"] is False
 
 
+class TestDegenerateThreshold:
+    # the statistic cannot fall below theta, so the miss probability is 0
+    def test_energy_below_reach(self):
+        # w Y + alpha Y^2 >= -w^2 / (4 alpha) = 0 >= theta
+        spec = cd.ExtendedDetectorSpec(cd.JointAtoms([0.0], [0.0], [1.0]), 0.3, 0.0, "energy")
+        res = cd.md_exponent_energy(spec, BUD, cd.Gaussian(1.0))
+        assert res.value == math.inf
+        assert res.diagnostics["unbounded"] is True
+
+    def test_energy_boundary_of_reach(self):
+        # theta = -E[W^2] / (4 alpha) exactly: still unreachable, and just
+        # above it the exponent is finite
+        joint = cd.JointAtoms([1.0, -2.0], [0.5, 0.0], [0.5, 0.5])
+        alpha = 0.25
+        edge = -float(np.dot(joint.weight, joint.w ** 2)) / (4 * alpha)
+        spec = cd.ExtendedDetectorSpec(joint, alpha, edge, "energy")
+        assert cd.md_exponent_energy(spec, BUD, cd.Laplacian(1.0)).value == math.inf
+        spec = cd.ExtendedDetectorSpec(joint, alpha, edge + 0.5, "energy")
+        res = cd.md_exponent_energy(spec, BUD, cd.Laplacian(1.0))
+        assert math.isfinite(res.value) and "unbounded" not in res.diagnostics
+
+    def test_abs_below_reach(self):
+        # every |w| <= alpha: w Y + alpha |Y| >= 0 >= theta
+        spec = cd.ExtendedDetectorSpec(cd.JointAtoms([0.1], [1.0], [1.0]), 0.3, 0.0, "abs")
+        res = cd.md_exponent_abs(spec, BUD, cd.Laplacian(1.0))
+        assert res.value == math.inf
+        assert res.diagnostics["unbounded"] is True
+
+    def test_abs_reachable_cases_stay_finite(self):
+        # one |w| > alpha, or a positive theta: the statistic can fall below it
+        for w, theta in (([0.1, 0.5], 0.0), ([0.1], 0.05)):
+            joint = cd.JointAtoms(w, [1.0] * len(w), [1.0 / len(w)] * len(w))
+            spec = cd.ExtendedDetectorSpec(joint, 0.3, theta, "abs")
+            res = cd.md_exponent_abs(spec, BUD, cd.Laplacian(1.0))
+            assert math.isfinite(res.value) and "unbounded" not in res.diagnostics
+
+
 def test_transforms_accept_atom_arrays():
     model = cd.MixtureBinaryLaplace(0.5, 1.0, 2.0)
     v, s = np.array([0.4, -0.7, 1.1]), np.array([1.0, 0.0, -2.0])

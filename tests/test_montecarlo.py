@@ -1,6 +1,7 @@
 """Finite-n simulation: exact FA, tilted estimators, slope regression."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import corrdet as cd
 from corrdet import _kernels, joint
-from oracles import lower_hull_stack, md_probability_exhaustive_binary
+from oracles import lower_hull_stack, md_probability_exhaustive_binary, md_weights_full_noise
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
 
@@ -86,6 +87,15 @@ class TestMdProbability:
         b = cd.md_probability(model, [1.0, -0.7], [1.1, -0.9], 0.3, cfg, BUD)
         assert a.per_n == b.per_n
         assert a.slope == b.slope
+
+    def test_zero_weights_fall_back_to_the_indicator(self):
+        # ||w|| = 0 leaves no noise to integrate: the statistic is 0 <= 0
+        cfg = cd.SimConfig(n_values=(16,), trials=2000, seed=1, tilt_lambda=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = cd.md_probability(cd.Laplacian(1.0), [0.0], [1.0], 0.0, cfg, BUD)
+        assert est.per_n[0]["prob_estimate"] == 1.0
+        assert est.per_n[0]["rel_stderr"] == 0.0
 
     def test_degenerate_tilt_rejected(self):
         model = cd.Laplacian(0.5)
@@ -179,6 +189,51 @@ class TestKernels:
         got = out.mean()
         se = out.std(ddof=1) / math.sqrt(out.size)
         assert abs(got - want) < 4 * se
+
+    # the monte-carlo benchmark's models, patterns and tilts, at theta = 0.4
+    BENCH_CASES = [
+        (cd.Gaussian(1.0), [1.0, 0.6], [1.0, 0.8], 0.25),
+        (cd.Laplacian(2.0), [1.0, 0.6], [1.0, 0.8], 0.33),
+        (cd.BinarySymmetric(1.5), [1.0], [1.0], 0.19),
+        (cd.Uniform(2.0), [1.0, 0.6], [1.0, 0.8], 0.22),
+        (cd.MixtureBinaryLaplace(0.8, 1.0, 3.0), [1.0, 0.6], [1.0, 0.8], 0.27),
+    ]
+
+    @staticmethod
+    def _kernel_call(model, w_pat, s_pat, lam, n, theta=0.4):
+        w = np.resize(np.asarray(w_pat, float), n)
+        s = np.resize(np.asarray(s_pat, float), n)
+        log_norm = float(np.sum(cd.cgf_eval(model, lam * w)) + 0.5 * lam * lam * np.dot(w, w))
+        thresh = theta * n - float(np.dot(w, s))
+        return (*cd.cgf.kernel_args(model), w, lam, 1.0, thresh, log_norm)
+
+    @pytest.mark.parametrize(
+        "model,w_pat,s_pat,lam",
+        BENCH_CASES,
+        ids=["gaussian", "laplacian", "binary", "uniform", "mixture"],
+    )
+    def test_conditional_weights_match_full_noise_oracle(self, model, w_pat, s_pat, lam):
+        # integrating N out keeps the mean and cannot raise the variance
+        trials = 20_000
+        args = self._kernel_call(model, w_pat, s_pat, lam, 50)
+        new = _kernels.md_weights(*args, 1, 50, trials)
+        old = md_weights_full_noise(*args, 2, 50, trials)
+        se = math.hypot(new.std(ddof=1), old.std(ddof=1)) / math.sqrt(trials)
+        assert abs(new.mean() - old.mean()) <= 4.0 * se
+        assert new.var(ddof=1) <= old.var(ddof=1)
+
+    @pytest.mark.parametrize("n", [7, 50, 400])
+    @pytest.mark.parametrize(
+        "model,w_pat,s_pat,lam",
+        [BENCH_CASES[1], BENCH_CASES[3], BENCH_CASES[4]],
+        ids=["laplacian", "uniform", "mixture"],
+    )
+    def test_weights_independent_of_chunking(self, model, w_pat, s_pat, lam, n, monkeypatch):
+        args = self._kernel_call(model, w_pat, s_pat, lam, n)
+        want = _kernels.md_weights(*args, 9, n, 1000)
+        for elems in (n, 3 * n + 1, 2 ** 20):
+            monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", elems)
+            assert np.array_equal(_kernels.md_weights(*args, 9, n, 1000), want)
 
     def test_lower_hull_property(self):
         rng = np.random.default_rng(8)
