@@ -118,11 +118,13 @@ def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_ta
 
     ``log_norm`` is sum_i C(lam w_i) + lam^2 var_n ||w||^2 / 2, the log
     normalizer of the tilt on X = Z + N.  Under the tilt, given
-    a = sum_i w_i Z_i the noise term sum_i w_i N_i is normal with mean
-    -lam var_n ||w||^2 and variance sd^2 = var_n ||w||^2, so
-    E[1{a + sum w N <= thresh} e^{lam x + log_norm} | Z] is
+    a = sum_i w_i Z_i the noise term of x = a + sum_i w_i N_i is normal
+    with mean -lam var_n ||w||^2 and variance sd^2 = var_n ||w||^2, so
+    E[1{x <= thresh} e^{lam x + log_norm} | Z] is
 
-        exp(lam a + log_norm - lam^2 sd^2 / 2 + log Phi((thresh - a) / sd)).
+        exp(lam a + sum_i C(lam w_i) + log Phi((thresh - a) / sd)),
+
+    where sum_i C(lam w_i) = log_norm - lam^2 sd^2 / 2.
 
     With ||w|| = 0 the statistic is a itself and the weight is the
     indicator times e^{lam a + log_norm}.
@@ -130,6 +132,7 @@ def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_ta
     n = w.shape[0]
     var_sum = var_n * float(np.dot(w, w))
     sd = math.sqrt(var_sum)
+    c_sum = log_norm - 0.5 * lam * lam * var_sum
     tau = -lam * w
     uses = _STREAMS[model_id]
     out = np.empty(trials)
@@ -143,8 +146,7 @@ def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_ta
         z = _sample_z(model_id, a0, a1, a2, tau[None, :], *u)
         a = np.einsum("ij,j->i", z, w)
         if sd > 0.0:
-            log_w = lam * a + (log_norm - 0.5 * lam * lam * var_sum)
-            out[done:stop] = np.exp(log_w + log_ndtr((thresh - a) / sd))
+            out[done:stop] = np.exp(lam * a + c_sum + log_ndtr((thresh - a) / sd))
         else:
             out[done:stop] = np.where(a <= thresh, np.exp(lam * a + log_norm), 0.0)
     return out
