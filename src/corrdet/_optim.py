@@ -47,6 +47,9 @@ def golden_max_vec(f, lo, hi, iters=90):
 
     f maps an array of abscissae to an array of values; every component
     is treated as an independent unimodal problem on [lo_i, hi_i].
+
+    No corrdet code calls it.  It stays because corrbench/tracer.py wraps
+    this name without a default.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)

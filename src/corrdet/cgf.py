@@ -24,8 +24,27 @@ mixture         ln M, M = delta cosh x    M''/M - (M'/M)^2
 
 Every form is evaluated without overflow for any v in the domain: the
 hyperbolic ones through e^{-2|x|}, the mixture with both parts scaled by
-e^{-|x|}.  The functions below are model-agnostic and accept scalars or
-numpy arrays.
+e^{-|x|}.
+
+Each law also declares ``h_shape``, the curvature of H(x) = C(sqrt(x))
+that the joint design's envelope follows.  H'(x) = Cdot(v) / 2v at
+v = sqrt(x), and v grows with x, so H is concave exactly where Cdot(v)/v
+is non-increasing in v > 0 and convex where it is non-decreasing:
+
+==============  ==================================  ===========================
+law             Cdot(v) / v                         H (``h_shape``)
+==============  ==================================  ===========================
+Gaussian        var_z                               linear ("convex")
+Laplacian       2 / (q^2 - v^2), increasing         convex
+binary          z0^2 tanh(x) / x, decreasing        concave
+uniform         z0^2 L(x) / x, decreasing           concave
+mixture         neither in general                  None: tested numerically
+==============  ==================================  ===========================
+
+Here L(x) = coth x - 1/x is the Langevin function.  tanh and L are
+concave on x > 0 and vanish at 0, so their chord slopes tanh(x)/x and
+L(x)/x from the origin decrease.  The functions below are model-agnostic
+and accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -165,6 +184,7 @@ class Gaussian:
 
     config_name = "gaussian"
     kernel_id = 0
+    h_shape = "convex"  # H is linear, which counts as convex
     radius = math.inf
 
     def __post_init__(self):
@@ -204,6 +224,7 @@ class Laplacian:
 
     config_name = "laplacian"
     kernel_id = 1
+    h_shape = "convex"
 
     def __post_init__(self):
         if not self.q > 0:
@@ -245,6 +266,7 @@ class BinarySymmetric:
 
     config_name = "binary_symmetric"
     kernel_id = 2
+    h_shape = "concave"
     radius = math.inf
 
     def __post_init__(self):
@@ -285,6 +307,7 @@ class Uniform:
 
     config_name = "uniform"
     kernel_id = 3
+    h_shape = "concave"
     radius = math.inf
 
     def __post_init__(self):
@@ -372,6 +395,7 @@ class MixtureBinaryLaplace:
 
     config_name = "mixture_binary_laplace"
     kernel_id = 4
+    h_shape = None  # mixed in general; see classify_curvature
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:

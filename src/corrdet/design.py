@@ -2,10 +2,14 @@
 
 The per-tilt optimal weight is w = g^{-1}(s) where
 g(w) = Cdot(lam*w) + (rho/lam + var_n*lam)*w is strictly increasing,
-with rho >= 0 tuned to meet the correlator power constraint.  On top of
-that sit the sign (binary) design, the k-level quantized design found by
-alternating quantizer-style boundary/level updates, and a direct 4-ASK
-level optimization.
+with rho >= 0 tuned to meet the correlator power constraint.  The design
+value V(lam), the MD objective at those weights, has the slope
+V'(lam) = E[WS] - theta - E[W Cdot(lam W)] - lam var_n E[W^2] by the
+envelope theorem, so the best tilt is the root of V' after a grid
+search.  On top of that sit the sign (binary) design, the k-level
+quantized design found by alternating quantizer-style boundary/level
+updates, and a direct 4-ASK level optimization whose per-level tilt
+suprema share md_exponent's safeguarded Newton.
 """
 
 from __future__ import annotations
@@ -17,9 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgf as _cgf
-from ._optim import golden_max, golden_max_vec
+from ._optim import golden_max
 from .cgf import NoiseModel
-from .exponents import ExponentResult, JointAtoms, PowerBudget, fa_exponent, md_exponent, md_objective
+from .exponents import (
+    ExponentResult,
+    JointAtoms,
+    PowerBudget,
+    _tilt_newton,
+    fa_exponent,
+    md_exponent,
+    md_objective,
+)
 
 
 class DegenerateSignal(ValueError):
@@ -297,16 +309,24 @@ def tune_rho(model: NoiseModel, signal: SignalAtoms, lam: float, budget: PowerBu
 
 
 def _objective_for_lams(model, signal, lams, theta, budget):
-    """Per-tilt value of the MD objective at the tilt's own optimal weights."""
+    """Per-tilt design value V(lam): the MD objective at the tilt's own
+    optimal weights w(lam), and its slope V'(lam).
+
+    rho multiplies the power constraint, which does not involve lam, so by
+    the envelope theorem V'(lam) is the partial lam-derivative of the
+    objective at fixed w: E[WS] - theta - E[W Cdot(lam W)] - lam var_n E[W^2].
+    """
     lam_col = lams[:, None]
     rho = _tune_rho_arr(model, signal.s, signal.weight, lam_col, budget.p_w, budget.var_n)
     w = _g_inverse_arr(model, signal.s, rho[:, None], lam_col, budget.var_n)
-    p = signal.weight
+    p, v = signal.weight, lam_col * w
     e_ws = np.sum(p * w * signal.s, axis=-1)
     e_w2 = np.sum(p * w * w, axis=-1)
-    e_c = np.sum(p * _cgf.cgf_eval(model, lam_col * w), axis=-1)
+    e_c = np.sum(p * _cgf.cgf_eval(model, v), axis=-1)
+    e_wcdot = np.sum(p * w * model.cdot(v), axis=-1)
     vals = lams * (e_ws - theta) - e_c - 0.5 * lams * lams * budget.var_n * e_w2
-    return vals, rho
+    slopes = e_ws - theta - e_wcdot - lams * budget.var_n * e_w2
+    return vals, slopes
 
 
 def _lambda_grid(signal: SignalAtoms, theta: float, budget: PowerBudget, points=200):
@@ -323,9 +343,12 @@ def design_optimal(
 ) -> DetectorDesign:
     """Best correlator for the given signal under the power budget.
 
-    Scans a log-spaced tilt grid, refining around the best point; the
-    returned exponent is re-evaluated as a clean supremum over the tilt
-    for the final (fixed) weights.
+    Scans a log-spaced tilt grid and three zoomed grids around the best
+    point.  In the last zoom the design tilt is the root of V' (the
+    envelope-theorem slope from _objective_for_lams), by linear
+    interpolation in the cell where V' changes sign; the grid winner is
+    kept when no cell does.  The returned exponent is re-evaluated as a
+    clean supremum over the tilt for the final (fixed) weights.
     """
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
@@ -334,21 +357,21 @@ def design_optimal(
     vals, _ = _objective_for_lams(model, signal, grid, theta, budget)
     i = int(np.argmax(vals))
 
-    # zoomed grids, then golden-section polish of the grid winner
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     for _ in range(3):
         sub = np.geomspace(lo, hi, 40)
-        svals, _ = _objective_for_lams(model, signal, sub, theta, budget)
+        svals, slopes = _objective_for_lams(model, signal, sub, theta, budget)
         j = int(np.argmax(svals))
         lo = sub[max(j - 1, 0)]
         hi = sub[min(j + 1, sub.size - 1)]
 
-    def f(lam):
-        v, _ = _objective_for_lams(model, signal, np.array([lam]), theta, budget)
-        return float(v[0])
-
-    lam_star, _, _ = golden_max(f, lo, hi, rel_tol=1e-5, max_iter=20)
+    lam_star = sub[j]
+    cells = np.flatnonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))
+    if cells.size:
+        k = int(cells[np.argmin(np.abs(cells - j))])
+        d0, d1 = slopes[k], slopes[k + 1]
+        lam_star = sub[k] + d0 * (sub[k + 1] - sub[k]) / (d0 - d1)
 
     rho_star = tune_rho(model, signal, lam_star, budget)
     w = _g_inverse_arr(
@@ -553,44 +576,25 @@ def design_4ask(
     """Optimal two-magnitude weights for the four-level signal {+-a, +-3a}.
 
     The small-level weight alpha is swept on a dense grid (the matched
-    choice sqrt(p_w/5) is always included) with the tilt supremum taken
-    per alpha; a golden-section pass then refines around the grid winner.
+    choice sqrt(p_w/5) is always included), with the tilt supremum of
+    every alpha taken at once by md_exponent's safeguarded Newton; a
+    golden-section pass over md_exponent then refines alpha around the
+    grid winner.
     """
     if a <= 0:
         raise ValueError("a must be > 0")
     p_w = budget.p_w
-    var_n = budget.var_n
     amax = math.sqrt(2.0 * p_w)
     alphas = np.unique(
         np.concatenate([np.linspace(0.0, amax, alpha_points), [math.sqrt(p_w / 5.0)]])
     )
     betas = np.sqrt(np.maximum(2.0 * p_w - alphas * alphas, 0.0))
+    w = np.stack([alphas, betas], axis=-1)
     e_ws = 0.5 * a * alphas + 1.5 * a * betas
-
     caps = _cgf.tilt_cap(model, np.maximum(alphas, betas))
-
-    def obj(lams):
-        c = 0.5 * _cgf.cgf_eval(model, lams * alphas) + 0.5 * _cgf.cgf_eval(
-            model, lams * betas
-        )
-        return lams * (e_ws - theta) - c - 0.5 * lams * lams * var_n * p_w
-
-    # doubling bracket per alpha, masked, then vector golden section
-    hi = np.minimum(1.0, caps)
-    f_hi = obj(hi)
-    for _ in range(120):
-        nxt = np.minimum(2.0 * hi, caps)
-        grow = nxt > hi
-        if not np.any(grow):
-            break
-        f_nxt = obj(np.where(grow, nxt, hi))
-        advance = grow & (f_nxt > f_hi)
-        if not np.any(advance):
-            break
-        hi = np.where(advance, nxt, hi)
-        f_hi = np.where(advance, f_nxt, f_hi)
-    hi = np.minimum(2.0 * hi, caps)
-    _, vals = golden_max_vec(obj, np.zeros_like(hi), hi, iters=90)
+    lams, _, _ = _tilt_newton(model, w, 0.5, e_ws, theta, budget.var_n, caps)
+    c = 0.5 * np.sum(_cgf.cgf_eval(model, lams[:, None] * w), axis=-1)
+    vals = lams * (e_ws - theta) - c - 0.5 * lams * lams * budget.var_n * p_w
     vals = np.maximum(vals, 0.0)
 
     i = int(np.argmax(vals))

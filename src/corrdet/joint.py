@@ -79,12 +79,19 @@ def _h(model: NoiseModel, x):
 
 
 def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
-    """Sign pattern of the curvature of p -> C(lam*sqrt(p)) on (0, p_max]."""
+    """Sign pattern of the curvature of p -> C(lam*sqrt(p)) on (0, p_max].
+
+    A law with a proven shape (``h_shape`` in ``cgf``) returns it at every
+    scale; the mixture is classified by the signs of second differences of
+    H on a 10,000-point grid.
+    """
     if lam <= 0 or p_max <= 0:
         raise ValueError("lam and p_max must be > 0")
     edge = _cgf._pole(model)
     if lam * math.sqrt(p_max) >= edge:
         raise DomainError("lam*sqrt(p_max) reaches the CGF pole")
+    if model.h_shape is not None:
+        return model.h_shape
     h = _h(model, lam * lam * np.linspace(0.0, p_max, 10_000))
     d2 = h[:-2] + h[2:] - 2.0 * h[1:-1]
     # second differences within a few ulps of max|h| are the rounding of H,

@@ -285,3 +285,34 @@ def g_inverse_brentq(model, s, rho, lam, var_n):
 
     w = brentq(excess, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
     return math.copysign(w, s)
+
+
+def md_exponent_brent(model, w, s, p, theta, var_n):
+    """MD exponent sup_lam [lam (E[WS]-theta) - E[C(lam W)] - lam^2 var_n E[W^2]/2]
+    by bounded Brent, with C from the model's closed form.
+
+    W Cdot(lam W) >= 0, so the objective's slope is at most
+    (E[WS]-theta) - lam var_n E[W^2] and [0, (E[WS]-theta)/(var_n E[W^2])]
+    holds the maximizer, cut just inside the CGF pole where the model has
+    one.  Returns (value, lambda_star), the value clipped at 0.
+    """
+    w, s, p = (np.asarray(a, dtype=float) for a in (w, s, p))
+    live = p > 0
+    w, s, p = w[live], s[live], p[live]
+    slope0 = float(np.dot(p, w * s)) - theta
+    e_w2 = float(np.dot(p, w * w))
+    if slope0 <= 0.0 or e_w2 == 0.0:
+        return 0.0, 0.0
+    hi = slope0 / (var_n * e_w2)
+    radius = cd.cgf_domain(model)[1]
+    if radius < math.inf:
+        hi = min(hi, radius * (1.0 - 2e-9) / float(np.max(np.abs(w))))
+
+    def objective(lam):
+        return lam * slope0 - float(np.dot(p, model.c(lam * w))) - 0.5 * lam * lam * var_n * e_w2
+
+    res = minimize_scalar(
+        lambda lam: -objective(lam), bounds=(0.0, hi), method="bounded",
+        options={"xatol": 1e-14 * hi},
+    )
+    return max(-float(res.fun), 0.0), float(res.x)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import corrdet as cd
-from corrdet.design import GInverseNotConverged, _fourask_joint, _g_inverse_arr
+from corrdet.design import (
+    GInverseNotConverged,
+    _fourask_joint,
+    _g_inverse_arr,
+    _objective_for_lams,
+)
 from oracles import g_inverse_brentq
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
@@ -195,6 +200,21 @@ class TestDesignOptimal:
             warnings.simplefilter("error", RuntimeWarning)
             for theta in [0.5, 1.0, 2.0]:
                 cd.design_optimal(model, sig, theta, BUD)
+
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("atoms", [2, 64])
+    @pytest.mark.parametrize("theta", [0.2, 1.0, 2.0])
+    def test_e_md_reaches_grid_maximum(self, model, atoms, theta):
+        # the design value max over lam of V(lam), V the objective at the
+        # tilt's own weights, bounds e_md from below; scan V on a fine grid
+        if atoms == 2:
+            sig = cd.SignalAtoms([2.5, -1.0], [0.5, 0.5])
+        else:
+            sig = cd.SignalAtoms.uniform_grid(-2.0, 2.0, atoms)
+        d = cd.design_optimal(model, sig, theta, BUD)
+        vals, _ = _objective_for_lams(model, sig, np.geomspace(1e-3, 1e2, 400), theta, BUD)
+        assert d.e_md.value >= vals.max() - 1e-10
 
 
 class TestClassicalAndBinary:

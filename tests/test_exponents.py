@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrdet as cd
+from corrdet.cgf import tilt_cap
+from corrdet.design import _fourask_joint
+from oracles import md_exponent_brent
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
 
@@ -176,3 +179,63 @@ class TestMdExponent:
         j = cd.JointAtoms([0.0, 0.0], [1.0, -1.0], [0.5, 0.5])
         res = cd.md_exponent(j, 0.5, BUD, cd.Gaussian(1.0))
         assert res.value == 0.0
+
+
+ORACLE_MODELS = [
+    cd.Gaussian(1.0),
+    cd.Laplacian(1.0),
+    cd.BinarySymmetric(2.0),
+    cd.Uniform(2.0),
+    cd.MixtureBinaryLaplace(0.5, 1.0, 2.0),
+]
+
+
+def _oracle_joint(n):
+    # weights of size 0.5-1.5 and signals correlated with them, so every
+    # supremum here is interior and every threshold below E[WS]
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+    s = 3.0 * w + 0.5 * rng.normal(size=n)
+    return cd.JointAtoms(w, s, np.full(n, 1.0 / n))
+
+
+class TestMdExponentOracle:
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0])
+    def test_matches_bounded_brent(self, model, n, theta):
+        j = _oracle_joint(n)
+        res = cd.md_exponent(j, theta, BUD, model)
+        want, _ = md_exponent_brent(model, j.w, j.s, j.weight, theta, BUD.var_n)
+        assert res.value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "model", [cd.BinarySymmetric(7.0), cd.Uniform(7.0), cd.Laplacian(0.1)],
+        ids=["fig1", "fig2", "fig3"],
+    )
+    def test_figure_joints_match_bounded_brent(self, model):
+        # the four-level joints of `corrdet figure --id 1|2|3`: the matched
+        # small-level weight and two others, across the figures' thresholds
+        for alpha in (math.sqrt(0.2), 0.2, 1.0):
+            j = _fourask_joint(4.0, alpha, BUD.p_w)
+            for theta in np.linspace(0.0, 4.0 * math.sqrt(5.0), 9)[:-1]:
+                res = cd.md_exponent(j, theta, BUD, model)
+                want, _ = md_exponent_brent(model, j.w, j.s, j.weight, theta, BUD.var_n)
+                assert res.value == pytest.approx(want, rel=1e-10, abs=0.0), (alpha, theta)
+
+
+class TestEdgeHit:
+    def test_supremum_at_tilt_cap(self):
+        # the signal term outgrows the pole of the Laplacian CGF
+        model = cd.Laplacian(1.0)
+        res = cd.md_exponent(cd.JointAtoms([1.0], [1e12], [1.0]), 0.0, BUD, model)
+        assert res.diagnostics["edge_hit"] is True
+        assert res.lambda_star == tilt_cap(model, 1.0)
+        assert math.isfinite(res.value) and res.value > 0
+
+    def test_interior_supremum(self):
+        model = cd.Laplacian(1.0)
+        res = cd.md_exponent(cd.JointAtoms([1.0], [2.0], [1.0]), 0.5, BUD, model)
+        assert res.diagnostics["edge_hit"] is False
+        assert 0.0 < res.lambda_star < tilt_cap(model, 1.0)
+        assert {"iterations", "bracket"} <= set(res.diagnostics)

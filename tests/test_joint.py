@@ -36,6 +36,13 @@ class TestCurvature:
         assert cd.classify_curvature(cd.Gaussian(1.0), 0.25, 1e8) == "convex"
         assert cd.classify_curvature(cd.Gaussian(3.0), 3.0, 1e12) == "convex"
 
+    @pytest.mark.parametrize("model", [cd.BinarySymmetric(7.0), cd.Uniform(2.0)])
+    @pytest.mark.parametrize("p_max", [1.0, 10.0])
+    def test_concave_laws_at_small_scale(self, model, p_max):
+        # second differences of H here are ~1e-16, far under any absolute
+        # floor, but tanh(t)/t and L(t)/t decrease for every t > 0
+        assert cd.classify_curvature(model, 1e-3, p_max) == "concave"
+
 
 class TestStationaryLevels:
     def test_fig4_roots(self):
