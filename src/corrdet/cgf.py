@@ -76,9 +76,11 @@ class DomainError(ValueError):
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
-    # |x| + log((1 + e^{-2|x|}) / 2): overflow-free for any x.
+    # |x| + log((1 + e^{-2|x|}) / 2): overflow-free for any x, but it
+    # cancels below |x| = 1, where cosh x = 1 + 2 sinh^2(x/2) does not
     ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - LN2
+    sh = np.sinh(0.5 * np.minimum(ax, 1.0))
+    return np.where(ax < 1.0, np.log1p(2.0 * sh * sh), ax + np.log1p(np.exp(-2.0 * ax)) - LN2)
 
 
 def _log_sinh_over_x(x: np.ndarray) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 The per-tilt optimal weight is w = g^{-1}(s) where
 g(w) = Cdot(lam*w) + (rho/lam + var_n*lam)*w is strictly increasing,
-with rho >= 0 tuned to meet the correlator power constraint.  The design
-value V(lam), the MD objective at those weights, has the slope
-V'(lam) = E[WS] - theta - E[W Cdot(lam W)] - lam var_n E[W^2] by the
-envelope theorem, so the best tilt is the root of V' after a grid
-search.  On top of that sit the sign (binary) design, the k-level
-quantized design found by alternating quantizer-style boundary/level
-updates, and a direct 4-ASK level optimization whose per-level tilt
-suprema share md_exponent's safeguarded Newton.
+with rho >= 0 the power multiplier: zero when the budget is slack, else
+the root of E[g^{-1}(S)^2] = p_w by safeguarded Newton inside a
+closed-form bracket.  The design value V(lam), the MD objective at those
+weights, has the slope V'(lam) = E[WS] - theta - E[W Cdot(lam W)] -
+lam var_n E[W^2] by the envelope theorem, so the best tilt is the root
+of V' after a grid search.  On top of that sit the sign (binary)
+design, the k-level quantized design found by alternating
+quantizer-style boundary/level updates, and the four-level design,
+which is the optimal design on the signal's two magnitudes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .exponents import (
     ExponentResult,
     JointAtoms,
     PowerBudget,
-    _tilt_newton,
     fa_exponent,
     md_exponent,
     md_objective,
@@ -232,70 +232,61 @@ def g_inverse(model: NoiseModel, s, rho: float, lam: float, var_n: float):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def _power_of_inverse(model, s, p, rho, lam, var_n):
-    """E[g^{-1}(S)^2] for column-stacked rho/lam against atom rows."""
-    w = _g_inverse_arr(model, s, rho, lam, var_n)
-    return np.sum(p * w * w, axis=-1)
+def _power_and_slope(model, s, p, rho_col, lam_col, var_n):
+    """P(rho) = E[g^{-1}(S)^2] and dP/drho = -2 E[W^2 / (lam g'(W))] for
+    column-stacked rho/lam against atom rows; g^{-1} moves as
+    dW/drho = -W / (lam g'(W))."""
+    w = _g_inverse_arr(model, s, rho_col, lam_col, var_n)
+    gp = lam_col * model.cddot(lam_col * w) + rho_col / lam_col + var_n * lam_col
+    pw2 = p * w * w
+    return pw2.sum(axis=-1), -2.0 * (pw2 / (lam_col * gp)).sum(axis=-1)
 
 
-def _tune_rho_arr(model, s, p, lam_col, p_w, var_n, rho_hint=None, max_iter=200):
+def _tune_rho_arr(model, s, p, lam_col, p_w, var_n, max_iter=200):
     """Vectorized power-constraint multiplier for a column of tilts.
 
     Returns rho >= 0 per tilt: zero when the unconstrained inverse already
-    meets the power budget, otherwise the root of
-    E[g^{-1}(S|rho)^2] = p_w to 5e-10 absolute (relative when p_w < 1),
-    found by false position inside a bisection-safe bracket.
+    meets the power budget, otherwise the root of P(rho) = p_w,
+    P(rho) = E[g^{-1}(S|rho)^2], to 5e-10 absolute (relative when p_w < 1).
+    Cdot(v) v >= 0 gives g(w) >= (rho/lam + var_n lam) w for w >= 0, so the
+    root lies in [0, lam max(sqrt(E[S^2]/p_w) - var_n lam, 0)].  Inside
+    it, safeguarded Newton from rho = 0 on the secular equation
+    psi(rho) = P^{-1/2} - p_w^{-1/2} (More & Sorensen 1983), which is
+    linear in rho for Gaussian interference: each probe shrinks the
+    bracket, a step that leaves it becomes the midpoint, and a tilt stays
+    put once it meets the tolerance or its bracket collapses.  A
+    converged tilt finally takes the Newton step of its last probe,
+    unprobed, which squares its power error.
     """
-    L = lam_col.shape[0]
-    zeros = np.zeros((L, 1))
-    pow0 = _power_of_inverse(model, s, p, zeros, lam_col, var_n)
-    rho = np.zeros(L)
-    need = pow0 > p_w
-    if not np.any(need):
-        return rho
-
-    hi = np.ones(L)
-    if rho_hint is not None:
-        hi = np.maximum(hi, 2.0 * np.asarray(rho_hint, float))
-    # expand until the power at rho=hi dips below the budget
-    pw_hi = _power_of_inverse(model, s, p, hi[:, None], lam_col, var_n)
-    for _ in range(120):
-        still = need & (pw_hi > p_w)
-        if not np.any(still):
-            break
-        hi = np.where(still, hi * 4.0, hi)
-        pw_hi = _power_of_inverse(model, s, p, hi[:, None], lam_col, var_n)
-    lo = np.where(need, hi / 4.0, 0.0)
-    pw_lo = _power_of_inverse(model, s, p, lo[:, None], lam_col, var_n)
-    keep = pw_lo > p_w
-    lo = np.where(keep, lo, 0.0)
-
-    # Illinois false position on the power excess, which is positive at lo
-    # and not positive at hi; the endpoint kept twice running has its
-    # excess halved, so the bracket closes superlinearly on both sides
-    f_lo = np.where(keep, pw_lo, pow0) - p_w
-    f_hi = pw_hi - p_w
+    lam = lam_col[:, 0]
+    e_s2 = float(np.dot(p, s * s))
+    lo = np.zeros_like(lam)
+    hi = lam * np.maximum(math.sqrt(e_s2 / p_w) - var_n * lam, 0.0)
+    rho = np.zeros_like(lam)
+    power, slope = _power_and_slope(model, s, p, rho[:, None], lam_col, var_n)
     tol = 5e-10 * min(p_w, 1.0)
-    done = ~need | (np.abs(f_hi) <= tol)
-    x = np.where(done, hi, lo)
-    side = np.zeros(L)
+    done = power - p_w <= tol  # slack, or already met at rho = 0
+
+    def newton(i):
+        return rho[i] + 2.0 * power[i] * (1.0 - np.sqrt(power[i] / p_w)) / slope[i]
+
     for _ in range(max_iter):
-        if np.all(done):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
             break
-        act = ~done  # a done tilt may have f_hi == f_lo
-        x[act] = hi[act] - f_hi[act] * (hi[act] - lo[act]) / (f_hi[act] - f_lo[act])
-        err = _power_of_inverse(model, s, p, x[:, None], lam_col, var_n) - p_w
-        done = done | (np.abs(err) <= tol)
-        low_side = ~done & (err > 0)  # power too high -> raise rho
-        high_side = ~done & ~low_side
-        f_hi = np.where(low_side & (side > 0), 0.5 * f_hi, f_hi)
-        f_lo = np.where(high_side & (side < 0), 0.5 * f_lo, f_lo)
-        lo = np.where(low_side, x, lo)
-        f_lo = np.where(low_side, err, f_lo)
-        hi = np.where(high_side, x, hi)
-        f_hi = np.where(high_side, err, f_hi)
-        side = np.where(low_side, 1.0, np.where(high_side, -1.0, side))
-    return np.where(need, x, 0.0)
+        step = newton(act)
+        inside = (step > lo[act]) & (step < hi[act])
+        rho[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
+        power[act], slope[act] = _power_and_slope(
+            model, s, p, rho[act, None], lam_col[act], var_n
+        )
+        high = power[act] > p_w
+        lo[act] = np.where(high, rho[act], lo[act])
+        hi[act] = np.where(high, hi[act], rho[act])
+        done[act] = (np.abs(power[act] - p_w) <= tol) | (hi[act] - lo[act] <= 4e-16 * hi[act])
+    bound = np.flatnonzero(rho > 0.0)
+    rho[bound] = np.clip(newton(bound), lo[bound], hi[bound])
+    return rho
 
 
 def tune_rho(model: NoiseModel, signal: SignalAtoms, lam: float, budget: PowerBudget) -> float:
@@ -343,18 +334,27 @@ def design_optimal(
 ) -> DetectorDesign:
     """Best correlator for the given signal under the power budget.
 
-    Scans a log-spaced tilt grid and three zoomed grids around the best
-    point.  In the last zoom the design tilt is the root of V' (the
-    envelope-theorem slope from _objective_for_lams), by linear
-    interpolation in the cell where V' changes sign; the grid winner is
-    kept when no cell does.  The returned exponent is re-evaluated as a
+    Scans a log-spaced tilt grid, moved down while its first point wins
+    on a falling V, and three zoomed grids around the best point.  In the
+    last zoom the design tilt is the root of V' (the envelope-theorem
+    slope from _objective_for_lams), by linear interpolation in the cell
+    where V' changes sign; the grid winner is kept when no cell does.  The returned exponent is re-evaluated as a
     clean supremum over the tilt for the final (fixed) weights.
     """
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
 
     grid = _lambda_grid(signal, theta, budget)
-    vals, _ = _objective_for_lams(model, signal, grid, theta, budget)
+    vals, slopes = _objective_for_lams(model, signal, grid, theta, budget)
+    # V'(0+) = sqrt(p_w E[S^2]) - theta, so below that threshold V rises
+    # somewhere under a grid whose first point wins on a falling V: move
+    # the grid down by its own span until the winner is interior
+    reachable = theta < math.sqrt(budget.p_w * signal.e_s2)
+    for _ in range(10):
+        if not (reachable and np.argmax(vals) == 0 and slopes[0] < 0.0):
+            break
+        grid = grid * (grid[0] / grid[-1])
+        vals, slopes = _objective_for_lams(model, signal, grid, theta, budget)
     i = int(np.argmax(vals))
 
     lo = grid[max(i - 1, 0)]
@@ -466,15 +466,10 @@ def _lloyd_sweeps(model, signal, boundaries, lam, budget, max_sweeps=500, tol=1e
     """
     var_n = budget.var_n
     levels = None
-    rho = 0.0
     for _ in range(max_sweeps):
         boundaries = _repair_empty_cells(signal, boundaries)
         _, probs, means, _ = _cells(signal, boundaries)
-        rho_arr = _tune_rho_arr(
-            model, means, probs, np.array([[lam]]), budget.p_w, var_n,
-            rho_hint=np.array([rho]),
-        )
-        rho = float(rho_arr[0])
+        rho = float(_tune_rho_arr(model, means, probs, np.array([[lam]]), budget.p_w, var_n)[0])
         new_levels = _g_inverse_arr(
             model, means, np.asarray(rho), np.asarray(lam), var_n
         )
@@ -571,41 +566,17 @@ def design_4ask(
     a: float,
     theta: float,
     budget: PowerBudget,
-    alpha_points: int = 2001,
 ) -> tuple[float, ExponentResult]:
     """Optimal two-magnitude weights for the four-level signal {+-a, +-3a}.
 
-    The small-level weight alpha is swept on a dense grid (the matched
-    choice sqrt(p_w/5) is always included), with the tilt supremum of
-    every alpha taken at once by md_exponent's safeguarded Newton; a
-    golden-section pass over md_exponent then refines alpha around the
-    grid winner.
+    This is design_optimal on the magnitudes {a, 3a} (g^{-1} is odd, so
+    -a and -3a get the negated weights).  Returns the small-level weight alpha, scaled to full
+    power (the constraint binds for theta > 0, and at theta = 0 the
+    exponent is scale invariant), and the MD exponent of
+    _fourask_joint(a, alpha).
     """
     if a <= 0:
         raise ValueError("a must be > 0")
-    p_w = budget.p_w
-    amax = math.sqrt(2.0 * p_w)
-    alphas = np.unique(
-        np.concatenate([np.linspace(0.0, amax, alpha_points), [math.sqrt(p_w / 5.0)]])
-    )
-    betas = np.sqrt(np.maximum(2.0 * p_w - alphas * alphas, 0.0))
-    w = np.stack([alphas, betas], axis=-1)
-    e_ws = 0.5 * a * alphas + 1.5 * a * betas
-    caps = _cgf.tilt_cap(model, np.maximum(alphas, betas))
-    lams, _, _ = _tilt_newton(model, w, 0.5, e_ws, theta, budget.var_n, caps)
-    c = 0.5 * np.sum(_cgf.cgf_eval(model, lams[:, None] * w), axis=-1)
-    vals = lams * (e_ws - theta) - c - 0.5 * lams * lams * budget.var_n * p_w
-    vals = np.maximum(vals, 0.0)
-
-    i = int(np.argmax(vals))
-    lo_a = alphas[max(i - 1, 0)]
-    hi_a = alphas[min(i + 1, alphas.size - 1)]
-
-    def exponent_at(alpha):
-        return md_exponent(_fourask_joint(a, alpha, p_w), theta, budget, model).value
-
-    alpha_star, _, _ = golden_max(exponent_at, lo_a, hi_a, rel_tol=1e-11, max_iter=60)
-    candidates = [alpha_star, alphas[i]]
-    best_alpha = min(candidates, key=lambda x: (-exponent_at(x), x))
-    result = md_exponent(_fourask_joint(a, best_alpha, p_w), theta, budget, model)
-    return float(best_alpha), result
+    d = design_optimal(model, SignalAtoms([a, 3.0 * a], [0.5, 0.5]), theta, budget)
+    alpha = float(d.joint.w[0] * math.sqrt(budget.p_w / d.joint.e_w2))
+    return alpha, md_exponent(_fourask_joint(a, alpha, budget.p_w), theta, budget, model)

@@ -183,6 +183,7 @@ def _tilt_newton(model, w, p, e_ws, theta, var_n, cap):
     bracket has collapsed.  A row with f'(cap) > 0 stops at the cap.
 
     Returns (lam, edge_hit, probes); rows with slope0 <= 0 give lam = 0.
+    md_exponent, with one row, is the only caller.
     """
     e_ws = np.asarray(e_ws, dtype=float)
     slope0 = e_ws - theta

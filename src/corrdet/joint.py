@@ -82,8 +82,9 @@ def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
     """Sign pattern of the curvature of p -> C(lam*sqrt(p)) on (0, p_max].
 
     A law with a proven shape (``h_shape`` in ``cgf``) returns it at every
-    scale; the mixture is classified by the signs of second differences of
-    H on a 10,000-point grid.
+    scale.  The mixture is classified by the sign of
+    v C''(v) - Cdot(v) = 4 v^3 H''(v^2) on 10,000 points v = lam*sqrt(p),
+    counting only values beyond a few ulps of v C''(v).
     """
     if lam <= 0 or p_max <= 0:
         raise ValueError("lam and p_max must be > 0")
@@ -92,13 +93,12 @@ def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
         raise DomainError("lam*sqrt(p_max) reaches the CGF pole")
     if model.h_shape is not None:
         return model.h_shape
-    h = _h(model, lam * lam * np.linspace(0.0, p_max, 10_000))
-    d2 = h[:-2] + h[2:] - 2.0 * h[1:-1]
-    # second differences within a few ulps of max|h| are the rounding of H,
-    # which at large lam^2 * p_max exceeds the absolute 1e-10 in both signs
-    tol = max(1e-10, 16.0 * np.finfo(float).eps * float(np.max(np.abs(h))))
-    has_pos = bool(np.any(d2 > tol))
-    has_neg = bool(np.any(d2 < -tol))
+    v = lam * np.sqrt(np.linspace(0.0, p_max, 10_000)[1:])
+    vc2 = v * model.cddot(v)
+    d = vc2 - model.cdot(v)
+    tol = 8.0 * np.finfo(float).eps * vc2
+    has_pos = bool(np.any(d > tol))
+    has_neg = bool(np.any(d < -tol))
     if has_pos and has_neg:
         return "mixed"
     if has_neg:

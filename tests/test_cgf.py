@@ -55,6 +55,14 @@ class TestClosedForms:
         got = cd.cgf_eval(cd.BinarySymmetric(5.0), 400.0)
         assert got == pytest.approx(2000.0 - math.log(2.0), rel=1e-12)
 
+    def test_log_cosh_small_argument(self):
+        # ln cosh x = x^2/2 - x^4/12 + x^6/45 - ..., the next term below an
+        # ulp for |x| <= 1e-3; |x| + log1p(e^{-2|x|}) - ln 2 cancels here
+        x = np.concatenate([-np.geomspace(1e-3, 1e-12, 60), np.geomspace(1e-12, 1e-3, 60)])
+        series = x ** 2 / 2.0 - x ** 4 / 12.0 + x ** 6 / 45.0
+        got = cd.BinarySymmetric(1.0).c(x)
+        assert np.max(np.abs(got - series) / series) <= 4.0 * np.finfo(float).eps
+
     def test_log_sinh_large_argument(self):
         got = cd.cgf_eval(cd.Uniform(3.0), 300.0)
         assert got == pytest.approx(900.0 - math.log(2.0) - math.log(900.0), rel=1e-12)

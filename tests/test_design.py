@@ -12,6 +12,7 @@ from corrdet.design import (
     _fourask_joint,
     _g_inverse_arr,
     _objective_for_lams,
+    _tune_rho_arr,
 )
 from oracles import g_inverse_brentq
 
@@ -114,12 +115,33 @@ class TestGMap:
 
 class TestTuneRho:
     def test_gaussian_closed_form(self):
+        # P(rho)^{-1/2} is linear in rho here, so Newton lands on the root
         model = cd.Gaussian(1.0)
         sig = cd.SignalAtoms([2.0, -2.0], [0.5, 0.5])
-        lam = 0.7
-        want = lam * math.sqrt(sig.e_s2 / BUD.p_w) - (1.0 + 1.0) * lam * lam
-        got = cd.tune_rho(model, sig, lam, BUD)
-        assert got == pytest.approx(want, rel=1e-7)
+        for lam in [0.05, 0.3, 0.7]:
+            want = lam * math.sqrt(sig.e_s2 / BUD.p_w) - (1.0 + 1.0) * lam * lam
+            got = cd.tune_rho(model, sig, lam, BUD)
+            assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("budget", [BUD, cd.PowerBudget(p_w=0.3, var_n=0.7)])
+    def test_power_met_inside_closed_form_bracket(self, model, budget):
+        sig = cd.SignalAtoms.uniform_grid(-2.0, 3.0, 16)
+        lams = np.geomspace(1e-2, 10.0, 9)
+        p_w, var_n = budget.p_w, budget.var_n
+        rho = _tune_rho_arr(model, sig.s, sig.weight, lams[:, None], p_w, var_n)
+        hi = lams * np.maximum(math.sqrt(sig.e_s2 / p_w) - var_n * lams, 0.0)
+        binding = []
+        for lam, r, top in zip(lams, rho, hi):
+            w0 = cd.g_inverse(model, sig.s, 0.0, lam, var_n)
+            if np.dot(sig.weight, w0 * w0) <= p_w:
+                assert r == 0.0  # slack: exactly zero
+                continue
+            w = cd.g_inverse(model, sig.s, r, lam, var_n)
+            assert abs(np.dot(sig.weight, w * w) - p_w) <= 5e-10 * min(p_w, 1.0)
+            assert 0.0 < r <= top
+            binding.append(lam)
+        assert 0 < len(binding) < lams.size  # both regimes were exercised
 
     def test_slack_constraint_returns_zero(self):
         model = cd.Gaussian(1.0)
@@ -191,8 +213,8 @@ class TestDesignOptimal:
             assert d.e_md.value >= e_bin - 1e-9
 
     def test_rho_search_warning_free(self):
-        # the false-position step is formed only for tilts still searching;
-        # a finished tilt can have f_hi == f_lo
+        # the multiplier's Newton step divides by dP/drho only for tilts
+        # whose constraint binds, where it is negative
         model = cd.BinarySymmetric(7.0)
         rng = np.random.default_rng(1)
         sig = cd.SignalAtoms(rng.normal(size=8) * 4, np.full(8, 1 / 8))
@@ -215,6 +237,25 @@ class TestDesignOptimal:
         d = cd.design_optimal(model, sig, theta, BUD)
         vals, _ = _objective_for_lams(model, sig, np.geomspace(1e-3, 1e2, 400), theta, BUD)
         assert d.e_md.value >= vals.max() - 1e-10
+
+
+    @pytest.mark.parametrize(
+        "model, signal, budget",
+        [
+            (cd.Laplacian(0.1), cd.SignalAtoms([50.0, 150.0], [0.5, 0.5]),
+             cd.PowerBudget(100.0, 0.1)),
+            (cd.BinarySymmetric(7.0), cd.SignalAtoms.uniform_grid(-2.0, 2.0, 64),
+             cd.PowerBudget(1.0, 1e-3)),
+        ],
+        ids=["laplacian-pole", "binary-small-var-n"],
+    )
+    def test_best_tilt_below_the_first_grid(self, model, signal, budget):
+        # the tilt grid is scaled by var_n alone, so a large C''(0) or a
+        # near pole puts the best tilt far under its first point
+        theta = 0.5 * math.sqrt(budget.p_w * signal.e_s2)
+        d = cd.design_optimal(model, signal, theta, budget)
+        vals, _ = _objective_for_lams(model, signal, np.geomspace(1e-7, 1e1, 800), theta, budget)
+        assert d.e_md.value >= vals.max() * (1.0 - 1e-9)
 
 
 class TestClassicalAndBinary:
@@ -342,7 +383,32 @@ class TestFourAsk:
         assert res.value >= e_cl - 1e-9
         assert res.value <= 1.05 * e_cl  # near-parity for Laplacian interference
 
-    def test_power_identity(self):
-        alpha_star, _ = cd.design_4ask(cd.BinarySymmetric(7.0), 4.0, 4.0, BUD)
-        beta = math.sqrt(2 * BUD.p_w - alpha_star ** 2)
-        assert alpha_star ** 2 + beta ** 2 == pytest.approx(2 * BUD.p_w, rel=1e-12)
+    @pytest.mark.parametrize("model", [cd.Laplacian(0.1), cd.Uniform(7.0)], ids=repr)
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_at_least_a_direct_alpha_scan(self, model, fraction):
+        # the small-level weight alpha searched directly, as a check on the
+        # fold into design_optimal; p_w = 100 with var_n = 0.1 puts the
+        # Laplacian's best tilt near its pole
+        a, budget = 50.0, cd.PowerBudget(100.0, 0.1)
+        theta = fraction * a * math.sqrt(5.0 * budget.p_w)
+        _, res = cd.design_4ask(model, a, theta, budget)
+        scan = max(
+            cd.md_exponent(_fourask_joint(a, alpha, budget.p_w), theta, budget, model).value
+            for alpha in np.linspace(0.0, math.sqrt(2.0 * budget.p_w), 201)
+        )
+        assert res.value >= scan * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("theta", [0.0, 4.0, 4.0 * math.sqrt(5.0)])
+    def test_power_identity(self, theta):
+        # theta = 0 leaves the power constraint slack; at a sqrt(5 p_w) the
+        # matched filter's E[WS] equals theta and every exponent is zero
+        model = cd.BinarySymmetric(7.0)
+        alpha_star, res = cd.design_4ask(model, 4.0, theta, BUD)
+        assert 0.0 < alpha_star < math.sqrt(2 * BUD.p_w)
+        joint = _fourask_joint(4.0, alpha_star, BUD.p_w)
+        assert alpha_star ** 2 + joint.w[1] ** 2 == pytest.approx(2 * BUD.p_w, rel=1e-12)
+        assert joint.e_w2 == pytest.approx(BUD.p_w, rel=1e-12)
+        e_cl = cd.md_exponent(
+            _fourask_joint(4.0, math.sqrt(BUD.p_w / 5.0), BUD.p_w), theta, BUD, model
+        ).value
+        assert res.value >= e_cl - 1e-10

@@ -43,6 +43,13 @@ class TestCurvature:
         # floor, but tanh(t)/t and L(t)/t decrease for every t > 0
         assert cd.classify_curvature(model, 1e-3, p_max) == "concave"
 
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0])
+    def test_mixture_concave_at_small_scale(self, lam):
+        # (v C''(v) - Cdot(v)) / v^3 = 4 H''(v^2) lies in [-0.038, -0.031]
+        # for v in (0, 1] (40-digit mpmath), yet H's second differences
+        # there sit under any absolute floor
+        assert cd.classify_curvature(MIX, lam, 1.0) == "concave"
+
 
 class TestStationaryLevels:
     def test_fig4_roots(self):
