@@ -83,15 +83,29 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return np.where(ax < 1.0, np.log1p(2.0 * sh * sh), ax + np.log1p(np.exp(-2.0 * ax)) - LN2)
 
 
+# sinh(x)/x - 1 = sum_k x^{2k}/(2k+1)!, k >= 1; every term is positive, and
+# the tenth is below an ulp of the sum for |x| < 1
+_SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(1, 11)]
+
+
+def _sinhc_series(x):
+    # (sinh(x)/x - 1, its x-derivative) by Horner in x^2, for |x| <= 1
+    x2 = x * x
+    s = ds = 0.0
+    for k in range(len(_SINHC), 0, -1):
+        s = (s + _SINHC[k - 1]) * x2
+        ds = ds * x2 + 2 * k * _SINHC[k - 1]
+    return s, ds * x
+
+
 def _log_sinh_over_x(x: np.ndarray) -> np.ndarray:
-    # log(sinh(x)/x), even in x, with the removable singularity at 0.
+    # log(sinh(x)/x), even in x: the overflow-free form cancels below
+    # |x| = 1, where log1p of the positive series does not
     ax = np.abs(x)
-    small = ax < 1e-4
-    xs = np.where(small, 1.0, ax)
+    small = ax < 1.0
+    xs = np.maximum(ax, 1.0)
     big = xs + np.log1p(-np.exp(-2.0 * xs)) - LN2 - np.log(xs)
-    x2 = ax * ax
-    series = x2 / 6.0 - x2 * x2 / 180.0
-    return np.where(small, series, big)
+    return np.where(small, np.log1p(_sinhc_series(np.minimum(ax, 1.0))[0]), big)
 
 
 def _log_erfc_min(x):
@@ -324,14 +338,15 @@ class Uniform:
         return _log_sinh_over_x(self.z0 * v)
 
     def cdot(self, v):
-        # z0*coth(z0 v) - 1/v, with the odd series z0^2 v/3 - z0^4 v^3/45 near 0.
+        # z0 L(z0 v), with the Langevin function L(x) = coth x - 1/x; that
+        # difference cancels below |x| = 1, where L = (sinh(x)/x)'/(sinh(x)/x)
+        # is a ratio of positive series
         z0 = self.z0
         x = z0 * v
-        small = np.abs(x) < 1e-4
-        xs = np.where(small, 1.0, x)
-        big = z0 / np.tanh(xs) - 1.0 / np.where(small, 1.0, v)
-        series = z0 * (x / 3.0 - x ** 3 / 45.0)
-        return np.where(small, series, big)
+        small = np.abs(x) < 1.0
+        s, ds = _sinhc_series(np.clip(x, -1.0, 1.0))
+        big = z0 / np.tanh(np.where(small, 1.0, x)) - 1.0 / np.where(small, 1.0, v)
+        return np.where(small, z0 * ds / (1.0 + s), big)
 
     def cddot(self, v):
         # z0^2 (1/x^2 - csch^2 x), csch^2 x = 4 e^{-2|x|} / (1 - e^{-2|x|})^2,

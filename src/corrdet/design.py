@@ -2,15 +2,16 @@
 
 The per-tilt optimal weight is w = g^{-1}(s) where
 g(w) = Cdot(lam*w) + (rho/lam + var_n*lam)*w is strictly increasing,
-with rho >= 0 the power multiplier: zero when the budget is slack, else
-the root of E[g^{-1}(S)^2] = p_w by safeguarded Newton inside a
-closed-form bracket.  The design value V(lam), the MD objective at those
-weights, has the slope V'(lam) = E[WS] - theta - E[W Cdot(lam W)] -
-lam var_n E[W^2] by the envelope theorem, so the best tilt is the root
-of V' after a grid search.  On top of that sit the sign (binary)
-design, the k-level quantized design found by alternating
-quantizer-style boundary/level updates, and the four-level design,
-which is the optimal design on the signal's two magnitudes.
+with rho >= 0 the power multiplier.  In u = lam*w the tilt drops out:
+the design is U = h^{-1}(S), h(u) = Cdot(u) + (kappa + var_n)*u with
+kappa = rho/lam^2 the single root of a monotone equation (_power_root),
+and W = U/lam at full power.  tune_rho and _objective_for_lams keep the
+per-tilt view -- rho(lam) by safeguarded Newton in a closed-form bracket,
+and the design value V(lam) with its envelope-theorem slope -- as an
+independent reference.  On top of that sit the sign (binary) design, the
+k-level quantized design found by alternating quantizer-style
+boundary/level updates, and the four-level design, which is the optimal
+design on the signal's two magnitudes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgf as _cgf
-from ._optim import golden_max
 from .cgf import NoiseModel
 from .exponents import (
     ExponentResult,
@@ -30,7 +30,6 @@ from .exponents import (
     PowerBudget,
     fa_exponent,
     md_exponent,
-    md_objective,
 )
 
 
@@ -320,10 +319,36 @@ def _objective_for_lams(model, signal, lams, theta, budget):
     return vals, slopes
 
 
-def _lambda_grid(signal: SignalAtoms, theta: float, budget: PowerBudget, points=200):
-    scale = math.sqrt(budget.p_w * signal.e_s2)
-    lam_ref = max(scale - theta, 0.05 * scale) / (budget.var_n * budget.p_w)
-    return lam_ref * np.logspace(-3.0, 3.0, points)
+def _power_root(model, s, p, t, var_n):
+    """U = h^{-1}(S), h(u) = Cdot(u) + (kappa + var_n) u, at the kappa >= 0
+    with kappa r = t, r = sqrt(E[U^2]); returns (U, kappa, r).
+
+    With u = lam w the design value is V(lam) = -lam theta + G(lam sqrt(p_w)),
+    G(r) the best E[US - C(U) - var_n U^2/2] over E[U^2] <= r^2.  G is
+    concave with G'(r) = kappa r, so the best tilt solves kappa r = t =
+    theta/sqrt(p_w), 0 <= t < sqrt(E[S^2]), whose left side increases in
+    kappa.  Safeguarded Newton on 1/r - kappa/t, linear under Gaussian
+    interference, with dE[U^2]/dkappa = -2 E[U^2/h'(U)], from the Gaussian
+    root at C''(0).  Cdot(u) u >= 0 bounds the root below by
+    t var_n/(sqrt(E[S^2]) - t); a step outside the bracket becomes its
+    midpoint, or doubles kappa while no probe has overshot.  Stops once
+    |kappa r - t| <= 1e-10 t or the bracket collapses.
+    """
+    gap = math.sqrt(float(np.dot(p, s * s))) - t
+    lo, hi = t * var_n / gap, math.inf
+    kappa = t * (float(model.cddot(0.0)) + var_n) / gap
+    for _ in range(100):
+        u = _g_inverse_arr(model, s, np.asarray(kappa), np.asarray(1.0), var_n)
+        pu2 = p * u * u
+        power = float(pu2.sum())
+        r = math.sqrt(power)
+        if abs(kappa * r - t) <= 1e-10 * t or hi - lo <= 4e-16 * lo:
+            break
+        lo, hi = (kappa, hi) if kappa * r < t else (lo, kappa)
+        dphi = float((pu2 / (model.cddot(u) + kappa + var_n)).sum()) / (power * r) - 1.0 / t
+        step = kappa - (1.0 / r - kappa / t) / dphi
+        kappa = step if lo < step < hi else (0.5 * (lo + hi) if hi < math.inf else 2.0 * lo)
+    return u, kappa, r
 
 
 def design_optimal(
@@ -334,59 +359,33 @@ def design_optimal(
 ) -> DetectorDesign:
     """Best correlator for the given signal under the power budget.
 
-    Scans a log-spaced tilt grid, moved down while its first point wins
-    on a falling V, and three zoomed grids around the best point.  In the
-    last zoom the design tilt is the root of V' (the envelope-theorem
-    slope from _objective_for_lams), by linear interpolation in the cell
-    where V' changes sign; the grid winner is kept when no cell does.  The returned exponent is re-evaluated as a
-    clean supremum over the tilt for the final (fixed) weights.
+    W = U/lam* at full power, with U and kappa from _power_root,
+    lam* = sqrt(E[U^2]/p_w) and rho* = kappa lam*^2, so that g(W; rho*,
+    lam*) = S.  Past the reach, theta >= sqrt(p_w E[S^2]), no weights make
+    a miss rare; the kappa -> inf limit is the matched filter, returned
+    with lam* = rho* = 0.  The exponent is the supremum over the tilt for
+    the returned (fixed) weights.
     """
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
-
-    grid = _lambda_grid(signal, theta, budget)
-    vals, slopes = _objective_for_lams(model, signal, grid, theta, budget)
-    # V'(0+) = sqrt(p_w E[S^2]) - theta, so below that threshold V rises
-    # somewhere under a grid whose first point wins on a falling V: move
-    # the grid down by its own span until the winner is interior
-    reachable = theta < math.sqrt(budget.p_w * signal.e_s2)
-    for _ in range(10):
-        if not (reachable and np.argmax(vals) == 0 and slopes[0] < 0.0):
-            break
-        grid = grid * (grid[0] / grid[-1])
-        vals, slopes = _objective_for_lams(model, signal, grid, theta, budget)
-    i = int(np.argmax(vals))
-
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    for _ in range(3):
-        sub = np.geomspace(lo, hi, 40)
-        svals, slopes = _objective_for_lams(model, signal, sub, theta, budget)
-        j = int(np.argmax(svals))
-        lo = sub[max(j - 1, 0)]
-        hi = sub[min(j + 1, sub.size - 1)]
-
-    lam_star = sub[j]
-    cells = np.flatnonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))
-    if cells.size:
-        k = int(cells[np.argmin(np.abs(cells - j))])
-        d0, d1 = slopes[k], slopes[k + 1]
-        lam_star = sub[k] + d0 * (sub[k + 1] - sub[k]) / (d0 - d1)
-
-    rho_star = tune_rho(model, signal, lam_star, budget)
-    w = _g_inverse_arr(
-        model, signal.s, np.asarray(rho_star), np.asarray(lam_star), budget.var_n
-    )
-    joint = JointAtoms(w, signal.s, signal.weight)
-    e_md = md_exponent(joint, theta, budget, model)
+    e_fa = fa_exponent(theta, budget)  # raises for theta < 0
+    root_p = math.sqrt(budget.p_w)
+    t = theta / root_p
+    if t >= math.sqrt(signal.e_s2):
+        joint, rho_star, lam_star = design_classical(signal, budget), 0.0, 0.0
+    else:
+        u, kappa, r = _power_root(model, signal.s, signal.weight, t, budget.var_n)
+        lam_star = r / root_p
+        rho_star = kappa * lam_star * lam_star
+        joint = JointAtoms(u / lam_star, signal.s, signal.weight)
     return DetectorDesign(
         joint=joint,
         theta=theta,
         alpha=0.0,
-        e_fa=fa_exponent(theta, budget),
-        e_md=e_md,
+        e_fa=e_fa,
+        e_md=md_exponent(joint, theta, budget, model),
         rho_star=rho_star,
-        lambda_star=float(lam_star),
+        lambda_star=lam_star,
     )
 
 
@@ -458,49 +457,55 @@ def _repair_empty_cells(signal: SignalAtoms, boundaries: np.ndarray) -> np.ndarr
     raise EmptyCell("could not repair empty quantizer cells")
 
 
-def _lloyd_sweeps(model, signal, boundaries, lam, budget, max_sweeps=500, tol=1e-9):
-    """Alternate level and boundary updates at a fixed tilt.
+def _lloyd_sweeps(model, signal, boundaries, theta, budget, max_sweeps=500, tol=1e-9):
+    """Alternate level and boundary updates until neither moves by tol.
 
-    Levels come from the power-constrained inverse map applied to cell
-    conditional means; boundaries from the equal-cost crossing condition.
+    Levels are the optimal design on the cells' conditional means
+    (_power_root, then W = U/lam at full power).  A boundary is where two
+    levels cost the same, [C(u_{j+1}) - C(u_j) + (kappa + var_n)(u_{j+1}^2
+    - u_j^2)/2]/(u_{j+1} - u_j) in u = lam w.  Cells past the reach take
+    the kappa -> inf limit: matched levels, boundaries at the midpoints of
+    the means, lam = rho = 0.  Returns (boundaries, levels, rho, lam).
     """
-    var_n = budget.var_n
+    root_p, var_n = math.sqrt(budget.p_w), budget.var_n
+    t = theta / root_p
+    s_min, s_max = signal.s.min(), signal.s.max()
     levels = None
     for _ in range(max_sweeps):
         boundaries = _repair_empty_cells(signal, boundaries)
         _, probs, means, _ = _cells(signal, boundaries)
-        rho = float(_tune_rho_arr(model, means, probs, np.array([[lam]]), budget.p_w, var_n)[0])
-        new_levels = _g_inverse_arr(
-            model, means, np.asarray(rho), np.asarray(lam), var_n
-        )
+        norm = math.sqrt(float(np.dot(probs, means * means)))
+        if t >= norm:
+            new_levels, rho, lam = means * (root_p / norm), 0.0, 0.0
+        else:
+            u, kappa, r = _power_root(model, means, probs, t, var_n)
+            lam = r / root_p
+            new_levels, rho = u / lam, kappa * lam * lam
         diff = np.diff(new_levels)
         if np.any(diff <= 0):
             # merged levels: collapse the offending boundary and restart sweep
             j = int(np.flatnonzero(diff <= 0)[0])
             boundaries = np.delete(boundaries, min(j, boundaries.size - 1))
-            edges = np.concatenate(([signal.s.min()], boundaries, [signal.s.max()]))
-            widths = np.diff(edges)
-            wide = int(np.argmax(widths))
+            edges = np.concatenate(([s_min], boundaries, [s_max]))
+            wide = int(np.argmax(np.diff(edges)))
             boundaries = np.sort(
                 np.append(boundaries, 0.5 * (edges[wide] + edges[wide + 1]))
             )
             levels = None
             continue
-        c = _cgf.cgf_eval(model, lam * new_levels)
-        num = (c[1:] - c[:-1]) + 0.5 * (rho + lam * lam * var_n) * (
-            new_levels[1:] ** 2 - new_levels[:-1] ** 2
-        )
-        new_boundaries = num / (lam * diff)
-        new_boundaries = np.clip(
-            np.sort(new_boundaries), signal.s.min(), signal.s.max()
-        )
+        if lam == 0.0:
+            new_boundaries = 0.5 * (means[1:] + means[:-1])
+        else:
+            c, u2 = _cgf.cgf_eval(model, u), u * u
+            new_boundaries = (np.diff(c) + 0.5 * (kappa + var_n) * np.diff(u2)) / np.diff(u)
+        new_boundaries = np.clip(np.sort(new_boundaries), s_min, s_max)
         delta = np.max(np.abs(new_boundaries - boundaries))
         if levels is not None:
             delta = max(delta, float(np.max(np.abs(new_levels - levels))))
         boundaries, levels = new_boundaries, new_levels
         if delta < tol:
             break
-    return boundaries, levels, rho
+    return boundaries, levels, rho, lam
 
 
 def design_quantized(
@@ -511,10 +516,12 @@ def design_quantized(
     budget: PowerBudget,
     init_boundaries=None,
 ) -> QuantizerDesign:
-    """k-level correlator designed by alternating boundary/level updates,
-    wrapped in the same outer tilt search as design_optimal."""
+    """k-level correlator designed by alternating boundary/level updates
+    (_lloyd_sweeps), from the i/k quantiles or from init_boundaries."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
     distinct = np.unique(signal.s).size
@@ -528,32 +535,8 @@ def design_quantized(
     else:
         bnds0 = _quantile_boundaries(signal, k)
 
-    state = {"bnds": bnds0}
-
-    def value_at(lam):
-        bnds, levels, rho = _lloyd_sweeps(model, signal, state["bnds"], lam, budget)
-        state["bnds"] = bnds  # warm start the next tilt
-        idx = np.searchsorted(bnds, signal.s, side="right")
-        joint = JointAtoms(levels[idx], signal.s, signal.weight)
-        return md_objective(joint, lam, theta, budget, model), (bnds, levels, rho)
-
-    grid = _lambda_grid(signal, theta, budget)
-    best = (-math.inf, None, None)
-    for lam in grid:
-        val, payload = value_at(lam)
-        if val > best[0]:
-            best = (val, lam, payload)
-    _, lam_best, _ = best
-    i = int(np.argmin(np.abs(grid - lam_best)))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-
-    def f(lam):
-        return value_at(lam)[0]
-
-    lam_star, _, _ = golden_max(f, lo, hi, rel_tol=1e-10, max_iter=50)
-    _, (bnds, levels, rho) = value_at(lam_star)
-    return QuantizerDesign(boundaries=bnds, levels=levels, rho=rho, lam=float(lam_star))
+    bnds, levels, rho, lam = _lloyd_sweeps(model, signal, bnds0, theta, budget)
+    return QuantizerDesign(boundaries=bnds, levels=levels, rho=rho, lam=lam)
 
 
 def _fourask_joint(a: float, alpha: float, p_w: float) -> JointAtoms:
@@ -570,13 +553,12 @@ def design_4ask(
     """Optimal two-magnitude weights for the four-level signal {+-a, +-3a}.
 
     This is design_optimal on the magnitudes {a, 3a} (g^{-1} is odd, so
-    -a and -3a get the negated weights).  Returns the small-level weight alpha, scaled to full
-    power (the constraint binds for theta > 0, and at theta = 0 the
-    exponent is scale invariant), and the MD exponent of
+    -a and -3a get the negated weights), whose weights sit at full power.
+    Returns the small-level weight alpha and the MD exponent of
     _fourask_joint(a, alpha).
     """
     if a <= 0:
         raise ValueError("a must be > 0")
     d = design_optimal(model, SignalAtoms([a, 3.0 * a], [0.5, 0.5]), theta, budget)
-    alpha = float(d.joint.w[0] * math.sqrt(budget.p_w / d.joint.e_w2))
+    alpha = float(d.joint.w[0])
     return alpha, md_exponent(_fourask_joint(a, alpha, budget.p_w), theta, budget, model)

@@ -85,8 +85,14 @@ class ExtendedDetectorSpec:
 def fa_exponent_energy(theta: float, budget: PowerBudget, alpha: float) -> ExponentResult:
     """FA exponent of the correlation+energy detector.
 
-    The tilt runs over [0, 1/(2 alpha var_n)); the objective is concave
-    and diverges to -inf at the pole, so golden-section search suffices.
+    The objective f(lam) = lam theta - lam^2 var_n p_w/(2(1 - 2a lam))
+    + ln(1 - 2a lam)/2, a = alpha var_n, is concave on [0, 1/(2a)) and
+    falls to -inf at the pole.  f'(lam) (1 - 2a lam)^2 = 0 is the quadratic
+    (4 theta a^2 + var_n p_w a) lam^2 - (4 theta a + var_n p_w - 2a^2) lam
+    + (theta - a) = 0, positive at 0 and -var_n p_w/(4a) at the pole, so
+    for theta > a the tilt is its smaller root, taken in the stable form
+    2c/(-b + sqrt(b^2 - 4ac)); for theta <= a, f'(0) <= 0 and the exponent
+    is 0.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
@@ -96,22 +102,17 @@ def fa_exponent_energy(theta: float, budget: PowerBudget, alpha: float) -> Expon
     if alpha <= ALPHA_PLAIN:
         lam = theta / (var_n * p_w)
         return ExponentResult(fa_exponent(theta, budget), lam, {"bracket": (0.0, lam)})
-    pole = 1.0 / (2.0 * alpha * var_n)
-
-    def f(lam):
-        shrink = 1.0 - 2.0 * alpha * lam * var_n
-        if shrink <= 0:
-            return -math.inf
-        return (
-            lam * theta
-            - 0.5 * lam * lam * var_n * p_w / shrink
-            + 0.5 * math.log(shrink)
-        )
-
-    lam_star, val, it = golden_max(f, 0.0, pole * _cgf.TILT_SHRINK, rel_tol=1e-13)
-    if val <= 0.0:
-        return ExponentResult(0.0, 0.0, {"iterations": it, "bracket": (0.0, pole)})
-    return ExponentResult(float(val), float(lam_star), {"iterations": it, "bracket": (0.0, pole)})
+    a = alpha * var_n
+    pole = 1.0 / (2.0 * a)
+    if theta <= a:
+        return ExponentResult(0.0, 0.0, {"bracket": (0.0, pole)})
+    qa = (4.0 * theta * a + var_n * p_w) * a
+    qb = -(4.0 * theta * a + var_n * p_w - 2.0 * a * a)
+    qc = theta - a
+    lam = 2.0 * qc / (-qb + math.sqrt(qb * qb - 4.0 * qa * qc))
+    shrink = 1.0 - 2.0 * a * lam
+    val = lam * theta - 0.5 * lam * lam * var_n * p_w / shrink + 0.5 * math.log1p(-2.0 * a * lam)
+    return ExponentResult(float(val), float(lam), {"bracket": (0.0, pole)})
 
 
 def _check_lam_alpha(lam, alpha):

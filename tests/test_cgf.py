@@ -63,6 +63,19 @@ class TestClosedForms:
         got = cd.BinarySymmetric(1.0).c(x)
         assert np.max(np.abs(got - series) / series) <= 4.0 * np.finfo(float).eps
 
+    def test_uniform_small_argument_against_mpmath(self):
+        # log(sinh(x)/x) and coth x - 1/x subtract terms of size |x| or
+        # ln|x| to get values near x^2/6 and x/3; the series below |x| = 1 do not
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = np.geomspace(1e-8, 1.0, 300)
+        model = cd.Uniform(1.0)
+        ref_c = np.array([float(mp.log(mp.sinh(mp.mpf(v)) / mp.mpf(v))) for v in x])
+        ref_cdot = np.array([float(mp.coth(mp.mpf(v)) - 1 / mp.mpf(v)) for v in x])
+        assert np.max(np.abs(model.c(x) - ref_c) / ref_c) <= 1e-14
+        assert np.max(np.abs(model.cdot(x) - ref_cdot) / ref_cdot) <= 1e-14
+        assert np.array_equal(model.cdot(-x), -model.cdot(x))
+
     def test_log_sinh_large_argument(self):
         got = cd.cgf_eval(cd.Uniform(3.0), 300.0)
         assert got == pytest.approx(900.0 - math.log(2.0) - math.log(900.0), rel=1e-12)

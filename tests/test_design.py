@@ -348,6 +348,31 @@ class TestQuantizer:
         e_opt = cd.design_optimal(model, sig, theta, BUD).e_md.value
         assert e_opt >= e3 - 1e-9
 
+    @pytest.mark.parametrize(
+        "model, budget",
+        [
+            (cd.BinarySymmetric(7.0), cd.PowerBudget(1.0, 1e-3)),
+            (cd.Laplacian(0.1), cd.PowerBudget(100.0, 0.1)),
+        ],
+        ids=["binary-small-var-n", "laplacian-pole"],
+    )
+    def test_best_tilt_far_below_a_var_n_scaled_grid(self, model, budget):
+        # a tilt grid scaled by var_n alone puts these optima far under its
+        # first point, where a grid search returned 0 and 0.000672
+        sig = cd.SignalAtoms.uniform_grid(-2.0, 2.0, 64)
+        theta = 0.5 * math.sqrt(budget.p_w * sig.e_s2)
+        q = cd.design_quantized(model, sig, 4, theta, budget)
+        e_md = cd.md_exponent(q.apply(sig), theta, budget, model).value
+        assert 0.0 < e_md <= cd.design_optimal(model, sig, theta, budget).e_md.value
+        # the levels are the optimal design on the cells' means, so they
+        # reach the best design value over the tilt on those cell atoms
+        idx = np.searchsorted(q.boundaries, sig.s, side="right")
+        probs = np.bincount(idx, weights=sig.weight, minlength=4)
+        means = np.bincount(idx, weights=sig.weight * sig.s, minlength=4) / probs
+        cells = cd.SignalAtoms(means, probs)
+        vals, _ = _objective_for_lams(model, cells, np.geomspace(1e-7, 1e1, 800), theta, budget)
+        assert e_md >= vals.max() * (1.0 - 1e-9)
+
     def test_k_capped_at_distinct_values(self):
         model = cd.Gaussian(1.0)
         sig = cd.SignalAtoms([1.0, -1.0], [0.5, 0.5])

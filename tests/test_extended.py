@@ -38,6 +38,13 @@ class TestFaEnergy:
     def test_zero_threshold(self):
         assert cd.fa_exponent_energy(0.0, BUD, 0.3).value == 0.0
 
+    @pytest.mark.parametrize("alpha, var_n", [(0.3, 1.0), (0.25, 0.5)])
+    def test_threshold_at_alpha_var_n(self, alpha, var_n):
+        # f'(0) = theta - alpha var_n = 0 and f is concave: the supremum is
+        # f(0) = 0 exactly, where a search returns rounding noise above it
+        res = cd.fa_exponent_energy(alpha * var_n, cd.PowerBudget(2.0, var_n), alpha)
+        assert res.value == 0.0 and res.lambda_star == 0.0
+
     def test_grid_oracle(self):
         alpha = 0.25
         res = cd.fa_exponent_energy(1.0, BUD, alpha)
