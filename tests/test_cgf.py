@@ -67,11 +67,11 @@ class TestClosedForms:
         # log(sinh(x)/x) and coth x - 1/x subtract terms of size |x| or
         # ln|x| to get values near x^2/6 and x/3; the series below |x| = 1 do not
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
         x = np.geomspace(1e-8, 1.0, 300)
         model = cd.Uniform(1.0)
-        ref_c = np.array([float(mp.log(mp.sinh(mp.mpf(v)) / mp.mpf(v))) for v in x])
-        ref_cdot = np.array([float(mp.coth(mp.mpf(v)) - 1 / mp.mpf(v)) for v in x])
+        with mp.workdps(40):
+            ref_c = np.array([float(mp.log(mp.sinh(mp.mpf(v)) / mp.mpf(v))) for v in x])
+            ref_cdot = np.array([float(mp.coth(mp.mpf(v)) - 1 / mp.mpf(v)) for v in x])
         assert np.max(np.abs(model.c(x) - ref_c) / ref_c) <= 1e-14
         assert np.max(np.abs(model.cdot(x) - ref_cdot) / ref_cdot) <= 1e-14
         assert np.array_equal(model.cdot(-x), -model.cdot(x))
