@@ -24,7 +24,8 @@ mixture         ln M, M = delta cosh x    M''/M - (M'/M)^2
 
 Every form is evaluated without overflow for any v in the domain: the
 hyperbolic ones through e^{-2|x|}, the mixture with both parts scaled by
-e^{-|x|}.
+e^{-|x|}.  Below |x| = 1, where those forms cancel, ln cosh, ln(sinh x/x)
+and the mixture's C go through log1p of M - 1.
 
 Each law also declares ``h_shape``, the curvature of H(x) = C(sqrt(x))
 that the joint design's envelope follows.  H'(x) = Cdot(v) / 2v at
@@ -437,14 +438,19 @@ class MixtureBinaryLaplace:
         return x, ax, em, em2, den
 
     def c(self, v):
+        # |x| + ln den cancels below |x| = 1, where log1p of
+        # M - 1 = delta 2 sinh^2(x/2) + (1 - delta) u / (1 - u), u = v^2/q^2, does not
         _, ax, _, _, den = self._parts(v)
-        return ax + np.log(den)
+        sh = np.sinh(0.5 * np.minimum(ax, 1.0))
+        u = (v / self.q) ** 2
+        small = np.log1p(2.0 * self.delta * sh * sh + (1.0 - self.delta) * u / (1.0 - u))
+        return np.where(ax < 1.0, small, ax + np.log(den))
 
     def cdot(self, v):
-        x, _, em, em2, den = self._parts(v)
+        x, ax, em, _, den = self._parts(v)
         q2 = self.q ** 2
         lap_d = 2.0 * v * q2 / (q2 - v * v) ** 2
-        num = self.delta * self.z0 * np.sign(x) * 0.5 * (1.0 - em2) + (
+        num = -self.delta * self.z0 * np.sign(x) * 0.5 * np.expm1(-2.0 * ax) + (
             1.0 - self.delta
         ) * lap_d * em
         return num / den

@@ -208,6 +208,8 @@ def cmd_joint(cfg, out):
     p_cap = float(cfg["p_cap"]) if "p_cap" in cfg else None
     if budget.p_s is None:
         raise ConfigError("joint design needs budget.p_s")
+    if theta < 0:
+        raise ConfigError("joint design needs theta >= 0")
     result = joint_md_exponent(model, budget, theta, p_cap)
     _write_text(out, result.to_json())
 

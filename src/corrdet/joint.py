@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +107,8 @@ def classify_curvature(model: NoiseModel, lam: float, p_max: float) -> str:
 
 
 def stationary_levels(model: NoiseModel, lam: float, kappa: float) -> StationaryLevels:
-    """All non-negative roots of Cdot(lam*w) = kappa*w, by scan + bisection."""
+    """All non-negative roots of Cdot(lam*w) = kappa*w: a 20,001-point scan
+    brackets each sign change, and safeguarded Newton solves it."""
     if lam <= 0 or kappa <= 0:
         raise ValueError("lam and kappa must be > 0")
     if isinstance(model, Gaussian):
@@ -128,17 +129,19 @@ def stationary_levels(model: NoiseModel, lam: float, kappa: float) -> Stationary
     roots = [0.0]
     sign = np.sign(vals)
     crossings = np.flatnonzero(np.diff(sign) != 0)
+    eps = np.finfo(float).eps
     for j in crossings:
-        a, b = grid[j], grid[j + 1]
-        fa = d(a)
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            fm = d(m)
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
+        # safeguarded Newton, d' = lam C''(lam w) - kappa: every probe shrinks
+        # the scan's bracket, and a step that leaves it becomes the midpoint
+        a, b, fa = grid[j], grid[j + 1], vals[j]
         root = 0.5 * (a + b)
+        for _ in range(100):
+            f = d(root)
+            if abs(f) <= 8.0 * eps * (1.0 + kappa * root) or b - a <= 4.0 * eps * b:
+                break
+            a, b = (root, b) if f * fa > 0 else (a, root)
+            step = root - f / (lam * float(model.cddot(lam * root)) - kappa)
+            root = step if a < step < b else 0.5 * (a + b)
         if abs(d(root)) <= 1e-8 * (1.0 + kappa * root) and root > 1e-9 * w_max:
             roots.append(float(root))
     # drop near-duplicates from tangential grid hits
@@ -237,76 +240,75 @@ def joint_md_exponent(
 ) -> JointDesignResult:
     """Optimal MD exponent over jointly designed signal and correlator.
 
-    Searches the (tilt, power) plane on a log grid with local refinement;
-    the envelope support at the optimum gives the two weight magnitudes
-    and their mixing weight.  ``p_cap`` bounds the power spike used by
-    the concave regime (default 1e6 * p_w).
+    With s = lam*sqrt(p), the objective at tilt lam is -lam*theta + phi(s),
+    phi(s) = sqrt(p_s) s - Hhat(s^2) - var_n s^2 / 2 on s <= lam*sqrt(p_top),
+    p_top = min(p_w, p_cap), Hhat the lower convex envelope of H on
+    [0, min(lam^2 p_cap, x_pole)].  Convex H is its own envelope, so one
+    level at full power is optimal.  Otherwise one hull of H serves every
+    tilt, concave phi peaks at a segment root or a vertex, and lam is found
+    by a geometric scan and a golden polish.  The envelope support there
+    gives the two weight magnitudes and their mixing weight; ``e_md`` and
+    ``lambda_star`` are md_exponent of those atoms.  ``p_cap`` bounds the
+    power spike (default 1e6 * p_w).  theta < 0 raises ValueError, and
+    theta = 0 raises DomainError where H is not convex and C has no pole:
+    the supremum is then approached only as lam -> inf.
     """
     if budget.p_s is None:
         raise ValueError("budget.p_s is required for joint design")
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
     p_s, p_w, var_n = budget.p_s, budget.p_w, budget.var_n
-    if p_cap is None:
-        p_cap = 1e6 * p_w
-
-    if theta > 0:
-        lam_hi = 1.05 * p_s / (2.0 * var_n * theta)
-    else:
-        lam_hi = 2.0 * math.sqrt(p_s / (p_w * 1e-8)) / var_n
-    lam_hi = max(lam_hi, 1e-6)
-    lams = np.geomspace(lam_hi * 1e-8, lam_hi, 100)
-    ps = np.geomspace(p_w * 1e-8, p_w, 100)
-
-    hulls = {}  # hull vertices by x_hi, for this call only (see _hull)
-    vals = _joint_objective_grid(model, lams, ps, theta, p_s, var_n, p_cap, hulls)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = float(vals[i, j])
-
-    for _ in range(3):
-        lam_lo = lams[max(i - 1, 0)]
-        lam_hi2 = lams[min(i + 1, lams.size - 1)]
-        p_lo = ps[max(j - 1, 0)]
-        p_hi2 = ps[min(j + 1, ps.size - 1)]
-        lams = np.geomspace(lam_lo, lam_hi2, 30)
-        ps = np.unique(np.append(np.geomspace(p_lo, p_hi2, 30), min(p_hi2, p_w)))
-        vals = _joint_objective_grid(model, lams, ps, theta, p_s, var_n, p_cap, hulls)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        best = max(best, float(vals[i, j]))
-
-    lam_star, p_star = float(lams[i]), float(ps[j])
-
-    # coordinate golden polish in the final refined window
-    def f_lam(lam):
-        env = float(_envelope_values(model, lam, np.array([p_star]), p_cap, hulls)[0])
-        return lam * (math.sqrt(p_s * p_star) - theta) - env - 0.5 * lam * lam * var_n * p_star
-
-    lam_star, v1, _ = golden_max(
-        f_lam, lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)], rel_tol=1e-11
-    )
-
-    def f_p(p):
-        env = float(_envelope_values(model, lam_star, np.array([p]), p_cap, hulls)[0])
-        return lam_star * (math.sqrt(p_s * p) - theta) - env - 0.5 * lam_star ** 2 * var_n * p
-
-    p_star, v2, _ = golden_max(
-        f_p, ps[max(j - 1, 0)], min(ps[min(j + 1, ps.size - 1)], p_w), rel_tol=1e-11
-    )
-    best = max(best, v1, v2)
-
-    if best <= 0.0:
+    p_cap = 1e6 * p_w if p_cap is None else p_cap
+    if not p_cap < math.inf:
+        raise DomainError("p_cap must be finite")
+    p_top = min(p_w, p_cap)
+    if theta >= math.sqrt(p_s * p_top):  # E[WS] - theta <= 0 for every feasible design
         root = math.sqrt(p_w)
         return JointDesignResult(0.0, 0.0, p_w, root, root, 1.0, _safe_curvature(model, 1.0, p_w))
+    if model.h_shape == "convex":
+        return _design(model, budget, theta, EnvelopeValue(0.0, p_top, p_top, 0.0), p_top, p_cap)
 
-    p_hi = min(p_cap, _cgf.tilt_cap(model, lam_star) ** 2)
-    env = _chord(model, lam_star, p_star, p_hi, _hull(model, lam_star, p_cap, hulls))
-    return JointDesignResult(
-        e_md=float(best),
-        lambda_star=float(lam_star),
-        p_star=float(p_star),
-        level_a=math.sqrt(env.p0),
-        level_b=math.sqrt(env.p1) if env.p1 > 0 else math.sqrt(max(env.p0, p_star)),
-        mix_alpha=float(env.alpha),
-        curvature=_safe_curvature(model, lam_star, p_hi),
-    )
+    x_pole = (_cgf._pole(model) * _cgf.TILT_SHRINK) ** 2
+    # V(lam) <= p_s / (2 var_n) - lam theta, and past x_pole / p_top only -lam theta moves
+    lam_hi = min(p_s / (2.0 * var_n * theta) if theta > 0 else math.inf, math.sqrt(x_pole / p_top))
+    if lam_hi == math.inf:
+        raise DomainError("theta = 0 and no CGF pole: the sup is only reached as lam -> inf")
+    fx, fy = _envelope_grid(model, min(lam_hi * lam_hi * p_cap, x_pole))
+    if fx.size > 2:  # the chord from the origin ends where H(x)/x is least
+        fx[1] = golden_max(lambda x: -_h(model, x) / x, 0.98 * fx[1], min(1.02 * fx[1], fx[2]))[0]
+        fy[1] = _h(model, fx[1])
+
+    def best(lam):
+        # the envelope on [0, X]: F's vertices up to the tangent from (X, H(X)), then X
+        x_end = min(lam * lam * p_cap, x_pole)
+        k = int(np.searchsorted(fx, x_end))
+        h_end = float(_h(model, x_end))
+        j = int(np.argmax((h_end - fy[:k]) / (x_end - fx[:k]))) + 1
+        hx, hy = np.append(fx[:j], x_end), np.append(fy[:j], h_end)
+        # phi' falls through 0 at sqrt(p_s) / (2 slope + var_n) on a segment, or at a vertex
+        roots = math.sqrt(p_s) / (2.0 * np.diff(hy) / np.diff(hx) + var_n)
+        s = min(lam * math.sqrt(p_top), float(np.min(np.maximum(roots, np.sqrt(hx[:-1])))))
+        phi = math.sqrt(p_s) * s - np.interp(s * s, hx, hy) - 0.5 * var_n * s * s
+        return float(phi) - lam * theta, s, (hx, hy)
+
+    lams = np.geomspace(lam_hi * 1e-8, lam_hi, 100)
+    vals = [best(lam)[0] for lam in lams]
+    i = int(np.argmax(vals))
+    lam, val, _ = golden_max(lambda t: best(t)[0], lams[max(i - 1, 0)], lams[min(i + 1, 99)])
+    lam = lam if val >= vals[i] else float(lams[i])
+    _, s, hull = best(lam)
+    p = min((s / lam) ** 2, p_top)
+    env = _chord(model, lam, p, min(p_cap, x_pole / (lam * lam)), hull)
+    return _design(model, budget, theta, env, p, p_cap)
+
+
+def _design(model, budget, theta, env, p, p_cap):
+    """The design with envelope support ``env`` at power p, valued by md_exponent."""
+    levels = JointDesignResult(0.0, 0.0, p, math.sqrt(env.p0), math.sqrt(env.p1), env.alpha, "")
+    res = md_exponent(result_atoms(levels, budget), theta, budget, model)
+    p_hi = min(p_cap, _cgf.tilt_cap(model, res.lambda_star) ** 2)
+    curvature = _safe_curvature(model, res.lambda_star, p_hi)
+    return replace(levels, e_md=res.value, lambda_star=res.lambda_star, curvature=curvature)
 
 
 def _safe_curvature(model, lam, p_max):

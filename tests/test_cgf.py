@@ -76,6 +76,33 @@ class TestClosedForms:
         assert np.max(np.abs(model.cdot(x) - ref_cdot) / ref_cdot) <= 1e-14
         assert np.array_equal(model.cdot(-x), -model.cdot(x))
 
+    @pytest.mark.parametrize(
+        "model, v_hi",
+        [
+            (cd.MixtureBinaryLaplace(0.95, 0.5, 5.0), 1.0),
+            (cd.MixtureBinaryLaplace(0.5, 0.1, 2.0), 1.99),
+        ],
+    )
+    def test_mixture_small_argument_against_mpmath(self, model, v_hi):
+        # |x| + ln den and 1 - e^{-2|x|} cancel for small |x| = z0 |v|; the
+        # second law keeps |x| < 1 up to next to the pole
+        mp = pytest.importorskip("mpmath")
+        v = np.geomspace(1e-8, v_hi, 200)
+        with mp.workdps(40):
+            d, z0, q = (mp.mpf(a) for a in (model.delta, model.z0, model.q))
+
+            def parts(t):
+                lap = 1 / (1 - t * t / q ** 2)
+                m = d * mp.cosh(z0 * t) + (1 - d) * lap
+                return m, d * z0 * mp.sinh(z0 * t) + (1 - d) * 2 * t / q ** 2 * lap ** 2
+
+            ref = [parts(mp.mpf(t)) for t in v]
+            ref_c = np.array([float(mp.log(m)) for m, _ in ref])
+            ref_cdot = np.array([float(dm / m) for m, dm in ref])
+        assert np.max(np.abs(model.c(v) - ref_c) / ref_c) <= 1e-14
+        assert np.max(np.abs(model.cdot(v) - ref_cdot) / ref_cdot) <= 1e-14
+        assert np.array_equal(model.c(-v), model.c(v))
+
     def test_log_sinh_large_argument(self):
         got = cd.cgf_eval(cd.Uniform(3.0), 300.0)
         assert got == pytest.approx(900.0 - math.log(2.0) - math.log(900.0), rel=1e-12)

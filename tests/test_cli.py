@@ -58,6 +58,27 @@ class TestExitCodes:
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "model, theta, rc",
+        [
+            ({"type": "binary_symmetric", "z0": 7.0}, -0.1, 2),  # theta < 0 is a config error
+            ({"type": "binary_symmetric", "z0": 7.0}, 0.0, 3),  # sup only as lam -> inf
+            ({"type": "uniform", "z0": 1.5}, 0.0, 3),
+            ({"type": "laplacian", "q": 2.0}, 0.0, 0),  # the pole bounds the tilt
+        ],
+    )
+    def test_joint_threshold_at_and_below_zero(self, tmp_path, capsys, model, theta, rc):
+        budget = {"p_w": 1.0, "var_n": 1.0, "p_s": 1.0}
+        cfg = write_cfg(tmp_path, "c.json", {"model": model, "budget": budget, "theta": theta})
+        out = tmp_path / "joint.json"
+        assert main(["joint", "--config", cfg, "--out", str(out)]) == rc
+        assert out.exists() == (rc == 0)
+        if rc:
+            assert "theta" in capsys.readouterr().err
+        else:
+            e_md = json.loads(out.read_text())["e_md"]
+            assert e_md == pytest.approx(0.32717287868605, rel=1e-12)
+
     def test_bad_figure_id(self, tmp_path):
         rc = main(["figure", "--id", "9", "--out", str(tmp_path / "f.csv")])
         assert rc == 2

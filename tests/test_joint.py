@@ -11,6 +11,8 @@ from corrdet._kernels import lower_hull
 from corrdet.joint import result_atoms
 
 MIX = cd.MixtureBinaryLaplace(0.95, 0.5, 5.0)
+LAWS = [cd.Gaussian(1.0), cd.Laplacian(2.0), cd.BinarySymmetric(7.0), cd.Uniform(1.5), MIX]
+LAW_IDS = ["gaussian", "laplacian", "binary", "uniform", "mixture"]
 
 
 class TestCurvature:
@@ -156,6 +158,58 @@ class TestJointDesign:
         monkeypatch.setattr(joint, "lower_hull", counting_hull)
         cd.joint_md_exponent(MIX, cd.PowerBudget(1.0, 1.0, p_s=1.0), 0.5, p_cap=1e18)
         assert 1 <= len(builds) <= 2
+
+    @pytest.mark.parametrize("model", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("p_cap", [100.0, 1e8])
+    def test_reported_exponent_is_the_designs_own(self, model, p_cap):
+        bud = cd.PowerBudget(p_w=1.0, var_n=1.0, p_s=1.0)
+        res = cd.joint_md_exponent(model, bud, 0.3, p_cap=p_cap)
+        own = cd.md_exponent(result_atoms(res, bud), 0.3, bud, model)
+        assert res.e_md == pytest.approx(own.value, rel=1e-10)
+        assert res.lambda_star == own.lambda_star
+
+    def test_binary_reaches_best_on_off_design(self):
+        # 0.0067405 is the best on-off design over spikes in [1, 10] and
+        # powers in [0.3, 1]
+        bud = cd.PowerBudget(p_w=1.0, var_n=1.0, p_s=1.0)
+        res = cd.joint_md_exponent(cd.BinarySymmetric(7.0), bud, 0.3, p_cap=100.0)
+        assert res.e_md >= 0.0067405
+
+    @pytest.mark.parametrize("model", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("p_cap", [100.0, 1e4, 1e8])
+    def test_at_most_one_hull_per_call(self, model, p_cap, monkeypatch):
+        builds = []
+
+        def counting_hull(x, y):
+            builds.append(x.size)
+            return lower_hull(x, y)
+
+        monkeypatch.setattr(joint, "lower_hull", counting_hull)
+        cd.joint_md_exponent(model, cd.PowerBudget(1.0, 1.0, p_s=1.0), 0.3, p_cap=p_cap)
+        assert len(builds) <= (0 if model.h_shape == "convex" else 1)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="theta"):
+            cd.joint_md_exponent(cd.BinarySymmetric(7.0), cd.PowerBudget(1.0, 1.0, p_s=1.0), -0.1)
+
+    def test_zero_threshold_with_pole_is_attained(self):
+        bud = cd.PowerBudget(p_w=1.0, var_n=1.0, p_s=1.0)
+        # Laplacian(2): one full-power level, sup of lam - lam^2/2 + ln(1 - lam^2/4)
+        lap = cd.joint_md_exponent(cd.Laplacian(2.0), bud, 0.0)
+        lam = 0.6420736324815003  # root of 1 - lam - (lam/2) / (1 - lam^2/4), to an ulp
+        want = lam - lam * lam / 2.0 + math.log1p(-lam * lam / 4.0)
+        assert lap.e_md == pytest.approx(want, rel=1e-12)
+        mix = cd.joint_md_exponent(MIX, bud, 0.0)
+        own = cd.md_exponent(result_atoms(mix, bud), 0.0, bud, MIX)
+        assert mix.e_md == pytest.approx(own.value, rel=1e-10)
+        assert mix.e_md >= 0.433424962 and 0.0 < mix.lambda_star < math.inf
+
+    @pytest.mark.parametrize("model", [cd.BinarySymmetric(7.0), cd.Uniform(1.5)])
+    def test_zero_threshold_without_pole_rejected(self, model):
+        # the chord slope H(X)/X -> 0 as the tilt grows: the supremum is
+        # approached only as lam -> inf
+        with pytest.raises(cd.DomainError, match="theta = 0"):
+            cd.joint_md_exponent(model, cd.PowerBudget(1.0, 1.0, p_s=1.0), 0.0)
 
     def test_infinite_cap_rejected(self):
         bud = cd.PowerBudget(1.0, 1.0, p_s=1.0)
