@@ -175,6 +175,19 @@ class TestJointDesign:
         res = cd.joint_md_exponent(cd.BinarySymmetric(7.0), bud, 0.3, p_cap=100.0)
         assert res.e_md >= 0.0067405
 
+    def test_on_off_spike_sits_on_the_origin_tangency(self):
+        # the chord from the origin touches H where H(x)/x is least, that is
+        # v Cdot(v) = 2 C(v) at v = lam * spike; a hull vertex misses it by
+        # the grid spacing and the parent's 0.22185781717868
+        model = cd.MixtureBinaryLaplace(0.5, 1.0, 2.0)
+        bud = cd.PowerBudget(p_w=16.0, var_n=1.0, p_s=1.0)
+        res = cd.joint_md_exponent(model, bud, 0.5, p_cap=100.0)
+        assert res.level_a == 0.0 and 0.0 < res.mix_alpha < 1.0
+        v = res.lambda_star * res.level_b
+        c = cd.cgf_eval(model, v)
+        assert abs(v * cd.cgf_deriv(model, v) - 2.0 * c) <= 1e-8 * c
+        assert res.e_md >= 0.22185781717868
+
     @pytest.mark.parametrize("model", LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("p_cap", [100.0, 1e4, 1e8])
     def test_at_most_one_hull_per_call(self, model, p_cap, monkeypatch):
