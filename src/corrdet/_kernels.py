@@ -1,27 +1,41 @@
 """Hot numeric kernels: tilted Monte Carlo sampling and lower convex hulls.
 
 Both are plain numpy.  The sampler draws from SplitMix64 streams keyed
-by (seed, n, trial, index): every (trial, index) pair has its own
-counter-derived streams j = 0, 1, 2, and each trial's sum over indices
-runs in a fixed order, so estimates do not depend on how the trials are
-chunked or split between workers.  It is the one place that branches on
-the noise model, by the ``kernel_id`` each model class declares, with
-the parameters that cgf.kernel_args lists.
+by (seed, n, trial, group): every (trial, group) pair has its own
+counter-derived streams j = 0, 1, 2, ..., and each trial's sum over
+groups runs in a fixed order, so estimates do not depend on how the
+trials are chunked or split between workers.  It is the one place that
+branches on the noise model, by the ``kernel_id`` each model class
+declares, with the parameters that cgf.kernel_args lists.
 
-Only the interference Z is sampled.  Under the tilted measure the
-Gaussian noise part of the statistic is exactly normal given Z, so it is
-integrated out in closed form (conditional Monte Carlo).  Each sampler
-draws only the streams it reads:
+Only the interference Z is sampled, and only through a = sum_i w_i Z_i:
+under the tilted measure the Gaussian noise part of the statistic is
+exactly normal given Z, so it is integrated out in closed form
+(conditional Monte Carlo).  Indices that share a weight value v share
+the tilt tau = -lam v, so a = sum_v v A_v, where the group sum A_v adds
+m_v i.i.d. tilted draws of Z and has an exact law of its own:
 
-==========  =======  ======================================
-model       streams  use
-==========  =======  ======================================
-Gaussian    1, 2     Box-Muller
-Laplacian   1, 2     side of zero, exponential magnitude
-binary      1        sign
-uniform     1        inverse CDF of the tilted law
-mixture     0, 1, 2  component, then binary or Laplacian
-==========  =======  ======================================
+==========  ==============================================  ==========
+model       group sum A of m tilted draws                   streams
+==========  ==============================================  ==========
+Gaussian    normal, mean m tau var_z, variance m var_z       0
+binary      z0 (2K - m), K ~ Binomial(m, p+)                 0
+Laplacian   G1 / (q - tau) - G2 / (q + tau), G ~ Gamma(m)    0-17
+mixture     K_L ~ Binomial(m, p_L) Laplacian draws, then     0, 1, 2-19
+            K+ ~ Binomial(m - K_L, r) of the m - K_L
+            binary ones: z0 (2K+ - m + K_L) plus a
+            Laplacian pair with G ~ Gamma(K_L)
+==========  ==============================================  ==========
+
+Binomials are drawn by inverting CDF tables built once per call, each
+cut to the entries a uniform draw can select (about 9 sqrt(m) of them);
+the mixture's (K_L, K+) is a trinomial draw in two binomial steps, with
+one table of K+ per value of m - K_L that turns up.  Gammas are Marsaglia &
+Tsang (2000, ACM TOMS 26(3)) with a fixed budget of candidates, then
+``gammaincinv``.  Where every group has one index, the Laplacian draw is
+a side of zero and one exponential.  The uniform law has no closed-form
+sum: it keeps one inverse-CDF draw per index, from stream 1 of streams
+keyed by (seed, n, trial, index).
 
 The Gaussian Z stays sampled although Z + N is Gaussian too, so the
 estimate keeps a sampling error like every other model's.
@@ -32,7 +46,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import gammaincinv, gammaln, log_ndtr, ndtri
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -42,19 +56,27 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _U53 = 2.0 ** -53
-_TWO_PI = 2.0 * math.pi
 
 
 def _sm_fin(x):
-    """SplitMix64 output function on uint64 scalars/arrays (wrapping mul)."""
+    """SplitMix64 output function on uint64 scalars/arrays (wrapping mul).
+    The first step copies x; the rest work in place."""
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> _S30)) * _M1
-        x = (x ^ (x >> _S27)) * _M2
-        return x ^ (x >> _S31)
+        x = x ^ (x >> _S30)
+        x *= _M1
+        x ^= x >> _S27
+        x *= _M2
+        x ^= x >> _S31
+        return x
 
 
 def _unit(x):
-    return ((x >> _S11).astype(np.float64) + 0.5) * _U53
+    """(i + 1/2) 2^-53 from the top 53 bits i of x, in [2^-54, 1 - 2^-53]:
+    the sum rounds to even above 2^52, and the top value would reach 1."""
+    u = (x >> _S11).astype(np.float64)
+    u += 0.5
+    u *= _U53
+    return np.minimum(u, 1.0 - _U53, out=u)
 
 
 def _stream_base(seed, n_tag, trial_col, t_row):
@@ -70,47 +92,175 @@ def _draw(base, j):
         return _unit(_sm_fin(base + np.uint64(j + 1) * _GAMMA))
 
 
-def _sample_z(model_id, a0, a1, a2, tau, u0, u1, u2):
-    if model_id == 0:  # gaussian
-        bm = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
-        return tau * a0 + math.sqrt(a0) * bm
-    if model_id == 1:  # laplacian
-        right = u1 < (a0 + tau) / (2.0 * a0)
-        return np.where(right, -np.log(u2) / (a0 - tau), np.log(u2) / (a0 + tau))
-    if model_id == 2:  # binary
-        x = 2.0 * tau * a0
-        ex = np.exp(-np.abs(x))
-        p_plus = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-        return np.where(u1 < p_plus, a0, -a0)
-    if model_id == 3:  # uniform
-        g = tau * a0
-        safe = np.where(np.abs(g) < 1e-8, 1.0, tau)
-        tilted = -a0 + np.log1p(u1 * np.expm1(2.0 * g)) / safe
-        return np.where(np.abs(g) < 1e-8, -a0 + 2.0 * a0 * u1, tilted)
-    # mixture: a0=delta, a1=z0, a2=q
-    x = tau * a1
+def _uniform_z(z0, tau, u):
+    """Inverse CDF of the uniform law on [-z0, z0] tilted by tau."""
+    g = tau * z0
+    safe = np.where(np.abs(g) < 1e-8, 1.0, tau)
+    tilted = -z0 + np.log1p(u * np.expm1(2.0 * g)) / safe
+    return np.where(np.abs(g) < 1e-8, -z0 + 2.0 * z0 * u, tilted)
+
+
+# Marsaglia-Tsang candidates per gamma draw before the gammaincinv
+# fallback, and the streams one gamma draw owns: the fallback's, then a
+# normal and a uniform per candidate.
+_TRIES = 4
+_GAMMA_SPAN = 1 + 2 * _TRIES
+
+
+def _gamma(k, base, j):
+    """Gamma(k) draws for non-negative integer shapes k (broadcast to
+    base's shape) from streams j, j + 1, ...; 0 where k = 0.  Later
+    candidates are evaluated only on the entries still rejected, so an
+    entry's draw depends on its streams alone."""
+    shape = np.broadcast_to(k, base.shape).ravel()
+    flat = base.ravel()
+    out = np.zeros(flat.size)
+    todo = np.flatnonzero(shape)
+    for t in range(_TRIES):
+        b, d = flat[todo], shape[todo] - 1.0 / 3.0
+        x = ndtri(_draw(b, j + 1 + 2 * t))
+        v = 1.0 + x / np.sqrt(9.0 * d)
+        v **= 3
+        log_u = np.log(_draw(b, j + 2 + 2 * t))
+        log_v = np.log(np.where(v > 0.0, v, 1.0))
+        ok = (v > 0.0) & (log_u < 0.5 * x * x + d - d * v + d * log_v)
+        out[todo[ok]] = d[ok] * v[ok]
+        todo = todo[~ok]
+    out[todo] = gammaincinv(shape[todo], _draw(flat[todo], j))
+    return out.reshape(base.shape)
+
+
+def _laplace_pair(k, q, tau, base, j, at_most_one):
+    """Sum of k i.i.d. Laplacian(q) draws tilted by tau: the asymmetric
+    Laplace law E1 / (q - tau) - E2 / (q + tau), summed.  Where no k can
+    exceed 1 the one draw is a side of zero and an exponential
+    magnitude."""
+    if at_most_one:
+        right = _draw(base, j + _GAMMA_SPAN) < (q + tau) / (2.0 * q)
+        e = np.log(_draw(base, j))
+        e *= np.where(right, -1.0 / (q - tau), 1.0 / (q + tau))
+        e *= k
+        return e
+    a = _gamma(k, base, j)
+    a /= q - tau
+    a -= _gamma(k, base, j + _GAMMA_SPAN) / (q + tau)
+    return a
+
+
+def _log_sigmoid(x):
+    return -np.logaddexp(0.0, -x)
+
+
+def _table_width(m):
+    """A power of two no shorter than the part of a Binomial(m', p) CDF
+    table, m' <= m, that a uniform in [2^-54, 1 - 2^-53] can select: by
+    Hoeffding's inequality K stays within 4.6 sqrt(m') of m' p but for a
+    mass below 2^-60 on each side."""
+    length = min(m + 1, 2 * math.ceil(4.6 * math.sqrt(m)) + 3)
+    return 1 << (length - 1).bit_length()
+
+
+def _binom_rows(lg, m, lp, lq, width):
+    """CDF tables of Binomial(m[i], p[i]) from ln p and ln(1 - p), with
+    lg[k] = ln Gamma(k) for k <= max(m) + 1: row i holds the entries from
+    k = lo[i] on that a uniform u in [2^-54, 1 - 2^-53] can select (the
+    first above 2^-54 up to the first equal to 1), padded with 2."""
+    rows = np.full((len(m), width), 2.0)
+    lo = np.empty(len(m), dtype=np.intp)
+    for i, (mi, lpi, lqi) in enumerate(zip(m, lp, lq)):
+        k = np.arange(mi + 1)
+        log_pmf = lg[mi + 1] - lg[k + 1] - lg[mi - k + 1] + k * lpi + (mi - k) * lqi
+        cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+        cdf /= cdf[-1]
+        lo[i] = np.searchsorted(cdf, 0.5 * _U53, side="right")
+        kept = cdf[lo[i] : np.searchsorted(cdf, 1.0) + 1]
+        rows[i, : kept.size] = kept
+    return rows, lo
+
+
+def _invert(tables, row, u):
+    """Inverse CDF, per entry of u, of its row of the tables from
+    _binom_rows, by a binary search run on all entries at once: the
+    width is a power of two and every row ends above u."""
+    table, lo = tables
+    width = table.shape[1]
+    at = row * width - 1  # table[row, k + step - 1] is flat[at + k + step]
+    flat = table.ravel()
+    step = width >> 1
+    k = (np.take(flat, at + step) <= u) * step
+    while step > 1:
+        step >>= 1
+        k += (np.take(flat, k + (at + step)) <= u) * step
+    return k + lo[row]
+
+
+def _mixture_split(delta, z0, q, tau):
+    """ln p_L, ln(1 - p_L) and [ln r, ln(1 - r)]: a draw of the mixture
+    tilted by tau is Laplacian with probability p_L, else binary, and
+    then +z0 with probability r.  The tilted component weights are
+    delta cosh(tau z0) and (1 - delta) q^2 / (q^2 - tau^2)."""
+    x = tau * z0
     ax = np.abs(x)
-    em = np.exp(-ax)
-    em2 = np.exp(-2.0 * ax)
-    lap = 1.0 / (1.0 - (tau / a2) ** 2)
-    cb = a0 * 0.5 * (1.0 + em2)
-    cl = (1.0 - a0) * lap * em
-    p_bin = cb / (cb + cl)
-    xb = 2.0 * tau * a1
-    exb = np.exp(-np.abs(xb))
-    p_plus = np.where(xb >= 0.0, 1.0 / (1.0 + exb), exb / (1.0 + exb))
-    z_bin = np.where(u1 < p_plus, a1, -a1)
-    right = u1 < (a2 + tau) / (2.0 * a2)
-    z_lap = np.where(right, -np.log(u2) / (a2 - tau), np.log(u2) / (a2 + tau))
-    return np.where(u0 < p_bin, z_bin, z_lap)
+    log_bin = math.log(delta) + ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+    log_lap = math.log1p(-delta) - np.log1p(-((tau / q) ** 2))
+    log_tot = np.logaddexp(log_bin, log_lap)
+    return log_lap - log_tot, log_bin - log_tot, _log_sigmoid(np.array([2.0 * x, -2.0 * x]))
 
 
-# Stream indices each sampler reads, by kernel_id.
-_STREAMS = ((1, 2), (1, 2), (1,), (1,), (0, 1, 2))
+def _group_sampler(model_id, a0, a1, a2, tau, m):
+    """The group sums A (trials x groups) as a function of the stream
+    base; group g adds m[g] >= 1 i.i.d. draws of Z tilted by tau[g]."""
+    if m.size == 0:  # every weight is zero
+        return lambda base: np.zeros(base.shape)
+    if model_id == 0:  # gaussian, a0 = var_z
+        mean, sd = m * tau * a0, np.sqrt(m * a0)
+        return lambda base: mean + sd * ndtri(_draw(base, 0))
+    if model_id == 1:  # laplacian, a0 = q
+        return lambda base: _laplace_pair(m, a0, tau, base, 0, m.max() == 1)
+    lg = np.concatenate([[np.inf], gammaln(np.arange(1.0, m.max() + 3.0))])
+    width = _table_width(int(m.max()))
+    group = np.arange(m.size)
+    if model_id == 2:  # binary, a0 = z0
+        x = 2.0 * tau * a0
+        tables = _binom_rows(lg, m, _log_sigmoid(x), _log_sigmoid(-x), width)
+        return lambda base: 2.0 * a0 * _invert(tables, group, _draw(base, 0)) - a0 * m
+    # mixture, a0 = delta, a1 = z0, a2 = q: K_L ~ Binomial(m, p_L), and
+    # of the m_b = m - K_L binary draws K+ ~ Binomial(m_b, r) are +z0.  A
+    # table row of K+ is built for each (group, m_b) as it turns up.
+    log_lap, log_bin, log_r = _mixture_split(a0, a1, a2, tau)
+    lap_tables = _binom_rows(lg, m, log_lap, log_bin, width)
+    span = m.max() + 1
+    plus_row = np.full(m.size * span, -1, dtype=np.int64)  # by group * span + m_b
+    plus_tables = (np.empty((0, width)), np.empty(0, dtype=np.intp))
 
-# Elements (trials x indices) per chunk: small enough that every
-# temporary stays in cache, whatever the block length.
-_CHUNK_ELEMS = 2 ** 15
+    def binary_part(m_bin, u):
+        # z0 (K+ - K-) given the m_b binary draws of each entry
+        nonlocal plus_tables
+        key = group * span + m_bin
+        rows = plus_row[key]
+        if (rows < 0).any():
+            new = np.unique(key[rows < 0])
+            g, mb = np.divmod(new, span)
+            plus_row[new] = plus_tables[1].size + np.arange(new.size)
+            table, lo = _binom_rows(lg, mb, *log_r[:, g], width)
+            plus_tables = (np.vstack([plus_tables[0], table]), np.concatenate([plus_tables[1], lo]))
+            rows = plus_row[key]
+        return a1 * (2.0 * _invert(plus_tables, rows, u) - m_bin)
+
+    def mixture(base):
+        k_lap = _invert(lap_tables, group, _draw(base, 0))
+        a = binary_part(m - k_lap, _draw(base, 1))
+        a += _laplace_pair(k_lap, a2, tau, base, 2, span == 2)
+        return a
+
+    return mixture
+
+
+# Elements (trials x groups; trials x indices for the uniform law) per
+# chunk: small enough that every temporary stays in cache, whatever the
+# number of groups, and that the dozen or so a gamma draw holds at once
+# stay near 2 MB.
+_CHUNK_ELEMS = 2 ** 14
 
 
 def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials):
@@ -126,25 +276,30 @@ def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_ta
 
     where sum_i C(lam w_i) = log_norm - lam^2 sd^2 / 2.
 
+    a is sum_v v A_v over the distinct non-zero weights v, A_v drawn from
+    its exact law (the uniform law sums its n per-index draws instead).
     With ||w|| = 0 the statistic is a itself and the weight is the
     indicator times e^{lam a + log_norm}.
     """
-    n = w.shape[0]
     var_sum = var_n * float(np.dot(w, w))
     sd = math.sqrt(var_sum)
     c_sum = log_norm - 0.5 * lam * lam * var_sum
-    tau = -lam * w
-    uses = _STREAMS[model_id]
+    if model_id == 3:  # uniform, a0 = z0
+        vals, tau = w, -lam * w
+
+        def sample(base):
+            return _uniform_z(a0, tau, _draw(base, 1))
+
+    else:
+        vals, m = np.unique(w[w != 0.0], return_counts=True)
+        sample = _group_sampler(model_id, a0, a1, a2, -lam * vals, m)
     out = np.empty(trials)
-    t_row = np.arange(n, dtype=np.uint64)[None, :]
-    m = max(1, _CHUNK_ELEMS // n)
-    for done in range(0, trials, m):
-        stop = min(done + m, trials)
+    col = np.arange(vals.size, dtype=np.uint64)[None, :]
+    rows = max(1, _CHUNK_ELEMS // max(vals.size, 1))
+    for done in range(0, trials, rows):
+        stop = min(done + rows, trials)
         trial_col = np.arange(done, stop, dtype=np.uint64)[:, None]
-        base = _stream_base(seed, n_tag, trial_col, t_row)
-        u = [_draw(base, j) if j in uses else None for j in range(3)]
-        z = _sample_z(model_id, a0, a1, a2, tau[None, :], *u)
-        a = np.einsum("ij,j->i", z, w)
+        a = np.einsum("ij,j->i", sample(_stream_base(seed, n_tag, trial_col, col)), vals)
         if sd > 0.0:
             out[done:stop] = np.exp(lam * a + c_sum + log_ndtr((thresh - a) / sd))
         else:

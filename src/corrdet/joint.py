@@ -312,8 +312,13 @@ def _design(model, budget, theta, env, p, p_cap):
 
 
 def _safe_curvature(model, lam, p_max):
+    """The law's declared shape, else its curvature probed at tilt lam
+    on the part of (0, p_max] inside the CGF domain."""
+    if model.h_shape is not None:
+        return model.h_shape
+    p_in = min(p_max, _cgf.tilt_cap(model, lam) ** 2)
     try:
-        return classify_curvature(model, lam, p_max * (1.0 - 1e-9))
+        return classify_curvature(model, lam, p_in * (1.0 - 1e-9))
     except (DomainError, ValueError):
         return "mixed"
 

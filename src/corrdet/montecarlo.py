@@ -10,9 +10,13 @@ Only the interference Z is sampled.  The Gaussian noise enters the
 statistic linearly, so given Z its part is normal and each trial's
 weight is its conditional expectation given Z, in closed form
 (conditional Monte Carlo, or Rao-Blackwellization).  That keeps the
-estimator unbiased and cannot raise its variance.  Samplers draw one
-uniform per index (binary, uniform), two (Gaussian, Laplacian) or three
-(mixture); see ``_kernels``.
+estimator unbiased and cannot raise its variance.  Z enters only
+through a = sum_i w_i Z_i, and the indices that share a weight share a
+tilt, so a trial draws one sum per distinct weight from its exact law:
+a normal (Gaussian), a binomial count of +z0 (binary), a difference of
+two Gamma sums (Laplacian), or a trinomial count and a Laplacian pair
+(mixture).  The uniform law has no closed-form sum and keeps one draw
+per index; see ``_kernels``.
 """
 
 from __future__ import annotations

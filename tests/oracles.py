@@ -15,7 +15,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr, ndtr, ndtri
 
 import corrdet as cd
-from corrdet._kernels import _TWO_PI, _draw, _sample_z, _stream_base
+from corrdet._kernels import _uniform_z
 
 
 def expect_over_z(model, fn):
@@ -210,34 +210,63 @@ def abs_detector_mc_slope(model, w_pat, s_pat, alpha, theta, var_n, lam, n_value
     return cd.estimate_slope(rows)
 
 
+def sample_z_per_index(model_id, a0, a1, a2, tau, u0, u1, u2):
+    """One tilted draw of Z per entry of tau from the uniforms u0, u1,
+    u2, by the model's ``kernel_id`` and cgf.kernel_args parameters."""
+    if model_id == 0:  # gaussian
+        bm = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        return tau * a0 + math.sqrt(a0) * bm
+    if model_id == 1:  # laplacian
+        right = u1 < (a0 + tau) / (2.0 * a0)
+        return np.where(right, -np.log(u2) / (a0 - tau), np.log(u2) / (a0 + tau))
+    if model_id == 2:  # binary
+        x = 2.0 * tau * a0
+        ex = np.exp(-np.abs(x))
+        p_plus = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        return np.where(u1 < p_plus, a0, -a0)
+    if model_id == 3:  # uniform
+        return _uniform_z(a0, tau, u1)
+    # mixture: a0=delta, a1=z0, a2=q
+    x = tau * a1
+    ax = np.abs(x)
+    em = np.exp(-ax)
+    em2 = np.exp(-2.0 * ax)
+    lap = 1.0 / (1.0 - (tau / a2) ** 2)
+    cb = a0 * 0.5 * (1.0 + em2)
+    cl = (1.0 - a0) * lap * em
+    p_bin = cb / (cb + cl)
+    xb = 2.0 * tau * a1
+    exb = np.exp(-np.abs(xb))
+    p_plus = np.where(xb >= 0.0, 1.0 / (1.0 + exb), exb / (1.0 + exb))
+    z_bin = np.where(u1 < p_plus, a1, -a1)
+    right = u1 < (a2 + tau) / (2.0 * a2)
+    z_lap = np.where(right, -np.log(u2) / (a2 - tau), np.log(u2) / (a2 + tau))
+    return np.where(u0 < p_bin, z_bin, z_lap)
+
+
 def md_weights_full_noise(
     model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials,
     chunk=2048,
 ):
     """Per-trial importance weights (0 outside the miss event), sampling
-    both Z and the noise N from the tilted law: the weight of a trial is
+    both Z and the noise N from the tilted law, one draw per index from
+    numpy's own generator: the weight of a trial is
     1{x <= thresh} e^{lam x + log_norm} with x = sum_i w_i (Z_i + N_i).
 
-    Z comes from the same streams as corrdet's kernel, so on one seed the
-    kernel's weight is this one's conditional expectation given Z."""
+    It shares no stream with corrdet's kernel, whose weight is the
+    conditional expectation of this one given Z."""
     n = w.shape[0]
     sig = math.sqrt(var_n)
     tau = -lam * w
+    rng = np.random.default_rng([seed, n_tag])
     out = np.empty(trials)
-    t_row = np.arange(n, dtype=np.uint64)[None, :]
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        trial_col = np.arange(done, done + m, dtype=np.uint64)[:, None]
-        base = _stream_base(seed, n_tag, trial_col, t_row)
-        u0 = _draw(base, 0)
-        u1 = _draw(base, 1)
-        u2 = _draw(base, 2)
-        u3 = _draw(base, 3)
-        u4 = _draw(base, 4)
-        z = _sample_z(model_id, a0, a1, a2, tau[None, :], u0, u1, u2)
+        u0, u1, u2, u3, u4 = 1.0 - rng.random((5, m, n))  # in (0, 1]
+        z = sample_z_per_index(model_id, a0, a1, a2, tau[None, :], u0, u1, u2)
         noise = tau[None, :] * var_n + sig * np.sqrt(-2.0 * np.log(u3)) * np.cos(
-            _TWO_PI * u4
+            2.0 * math.pi * u4
         )
         x = (z + noise) @ w
         out[done : done + m] = np.where(

@@ -139,6 +139,17 @@ class TestJointDesign:
         bud = cd.PowerBudget(p_w=1.0, var_n=1.0, p_s=4.0)
         assert cd.joint_md_exponent(cd.Gaussian(1.0), bud, 2.5).e_md == 0.0
 
+    @pytest.mark.parametrize("design", [cd.joint_md_exponent, cd.two_level_direct],
+                             ids=["envelope", "direct"])
+    def test_zero_design_reports_the_declared_shape(self, design):
+        # a zero design has no tilt of its own, and Laplacian(0.5)'s pole
+        # lies below tilt 1 at p_w = 1: the label is still the law's shape
+        bud = cd.PowerBudget(p_w=1.0, var_n=1.0, p_s=1.0)
+        res = design(cd.Laplacian(0.5), bud, 1.5)
+        assert res.e_md == 0.0
+        assert res.curvature == "convex"
+        assert cd.joint_md_exponent(cd.Laplacian(0.5), bud, 0.5).curvature == "convex"
+
     def test_binary_interference_nullified(self):
         bud = cd.PowerBudget(p_w=1.0, var_n=1.0, p_s=1.0)
         ref = (1.0 - 0.5) ** 2 / 2.0

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 import corrdet as cd
 from corrdet import _kernels, joint
 from oracles import lower_hull_stack, md_probability_exhaustive_binary, md_weights_full_noise
 
 BUD = cd.PowerBudget(p_w=1.0, var_n=1.0)
+LAW_IDS = ["gaussian", "laplacian", "binary", "uniform", "mixture"]
+# zero, negative and repeated weights; 64 distinct weights (one index each)
+EDGE_PATTERNS = {"mixed-signs": [1.0, 0.0, -0.6, 1.0], "distinct": list(np.linspace(0.3, 1.0, 64))}
 
 
 class TestFaProbabilityExact:
@@ -222,11 +226,43 @@ class TestKernels:
         assert abs(new.mean() - old.mean()) <= 4.0 * se
         assert new.var(ddof=1) <= old.var(ddof=1)
 
+    @pytest.mark.parametrize(
+        "model,w_pat,s_pat,lam",
+        BENCH_CASES,
+        ids=LAW_IDS,
+    )
+    def test_conditional_weights_match_full_noise_oracle_at_n400(self, model, w_pat, s_pat, lam):
+        trials = 20_000
+        args = self._kernel_call(model, w_pat, s_pat, lam, 400)
+        new = _kernels.md_weights(*args, 1, 400, trials)
+        old = md_weights_full_noise(*args, 2, 400, trials)
+        se = math.hypot(new.std(ddof=1), old.std(ddof=1)) / math.sqrt(trials)
+        assert abs(new.mean() - old.mean()) <= 4.0 * se
+        assert new.var(ddof=1) <= old.var(ddof=1)
+
+    @pytest.mark.parametrize("pattern", EDGE_PATTERNS)
+    @pytest.mark.parametrize(
+        "model,w_pat,s_pat,lam",
+        BENCH_CASES,
+        ids=LAW_IDS,
+    )
+    def test_edge_patterns_match_full_noise_oracle(self, model, w_pat, s_pat, lam, pattern):
+        trials, n = 20_000, 64
+        w = EDGE_PATTERNS[pattern]
+        args = self._kernel_call(model, w, w, lam, n)
+        new = _kernels.md_weights(*args, 3, n, trials)
+        old = md_weights_full_noise(*args, 4, n, trials)
+        se = math.hypot(new.std(ddof=1), old.std(ddof=1)) / math.sqrt(trials)
+        assert abs(new.mean() - old.mean()) <= 4.0 * se
+        assert new.var(ddof=1) <= old.var(ddof=1)
+
     @pytest.mark.parametrize("n", [7, 50, 400])
     @pytest.mark.parametrize(
         "model,w_pat,s_pat,lam",
-        [BENCH_CASES[1], BENCH_CASES[3], BENCH_CASES[4]],
-        ids=["laplacian", "uniform", "mixture"],
+        BENCH_CASES
+        + [(model, EDGE_PATTERNS["mixed-signs"], [1.0], lam) for model, _, _, lam in BENCH_CASES]
+        + [(cd.Laplacian(2.0), EDGE_PATTERNS["distinct"], [1.0], 0.33)],
+        ids=LAW_IDS + [f"{law}-mixed-signs" for law in LAW_IDS] + ["laplacian-distinct"],
     )
     def test_weights_independent_of_chunking(self, model, w_pat, s_pat, lam, n, monkeypatch):
         args = self._kernel_call(model, w_pat, s_pat, lam, n)
@@ -234,6 +270,15 @@ class TestKernels:
         for elems in (n, 3 * n + 1, 2 ** 20):
             monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", elems)
             assert np.array_equal(_kernels.md_weights(*args, 9, n, 1000), want)
+
+    def test_uniform_weights_keep_their_per_index_values(self):
+        # the uniform law has no closed-form group sum: its weights stay
+        # those of one inverse-CDF draw per index, pinned bit for bit
+        args = self._kernel_call(*self.BENCH_CASES[3], 50)
+        out = _kernels.md_weights(*args, 9, 50, 1000)
+        want = ["0x1.2ddac43fed085p-5", "0x1.1f0fb44987fbcp-5", "0x1.3de9d03a26e41p-5",
+                "0x1.cbf41c67ecfdep-6", "0x1.24de9c13ba81ap-7"]
+        assert [float(x).hex() for x in out[[0, 1, 2, 500, 999]]] == want
 
     def test_lower_hull_property(self):
         rng = np.random.default_rng(8)
@@ -302,3 +347,138 @@ def test_lower_hull_matches_stack_property(steps, heights):
     x = np.concatenate([[0.0], np.cumsum(steps, dtype=float)])
     y = np.array(heights[: x.size], dtype=float)
     np.testing.assert_array_equal(_kernels.lower_hull(x, y), lower_hull_stack(x, y))
+
+
+def _lg(m):
+    """ln Gamma(k) for k = 0, ..., m + 2, as the kernel's tables take it."""
+    return np.concatenate([[np.inf], special.gammaln(np.arange(1.0, m + 3.0))])
+
+
+def _pmf(tables, i, size):
+    """The pmf that row i of the kernel's windowed CDF tables draws from;
+    the window's first entry carries the mass below it (under 2^-54)."""
+    table, lo = tables
+    cdf = table[i][table[i] <= 1.0]
+    assert cdf[-1] == 1.0 and np.all(table[i, cdf.size:] == 2.0)
+    pmf = np.zeros(size)
+    pmf[lo[i] : lo[i] + cdf.size] = np.diff(cdf, prepend=0.0)
+    return pmf
+
+
+def _base(trials, groups, seed=11):
+    trial_col = np.arange(trials, dtype=np.uint64)[:, None]
+    return _kernels._stream_base(seed, 3, trial_col, np.arange(groups, dtype=np.uint64)[None, :])
+
+
+class TestGroupSums:
+    """The exact laws of the per-weight group sums that the kernel draws."""
+
+    def test_unit_stays_inside_the_open_interval(self):
+        # top bits 0, 2^52 (whose added half rounds to even) and 2^53 - 1
+        u = _kernels._unit(np.array([0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64))
+        assert list(u) == [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 60, 400])
+    def test_gamma_draws_follow_the_gamma_law(self, k):
+        draws = _kernels._gamma(np.array([k]), _base(20_000, 1), 0).ravel()
+        assert stats.kstest(draws, stats.gamma(k).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k", [1, 7, 400])
+    def test_gammaincinv_fallback_follows_the_gamma_law(self, k, monkeypatch):
+        monkeypatch.setattr(_kernels, "_TRIES", 0)
+        draws = _kernels._gamma(np.array([k]), _base(20_000, 1), 0).ravel()
+        assert stats.kstest(draws, stats.gamma(k).cdf).pvalue > 1e-3
+
+    def test_gamma_of_shape_zero_is_zero(self):
+        k = np.array([[0, 3], [2, 0]])
+        draws = _kernels._gamma(k, _base(2, 2), 0)
+        assert draws[0, 0] == 0.0 and draws[1, 1] == 0.0
+        assert draws[0, 1] > 0.0 and draws[1, 0] > 0.0
+
+    @pytest.mark.parametrize("m,p", [(1, 0.3), (12, 0.05), (200, 0.62), (400, 0.999), (20000, 0.5)])
+    def test_binomial_table_is_the_binomial_pmf(self, m, p):
+        tables = _kernels._binom_rows(_lg(m), [m], [math.log(p)], [math.log1p(-p)],
+                                      _kernels._table_width(m))
+        pmf = _pmf(tables, 0, m + 1)
+        k = np.arange(m + 1)
+        np.testing.assert_allclose(pmf, stats.binom.pmf(k, m, p), rtol=1e-9, atol=1e-15)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(k, pmf) == pytest.approx(m * p, rel=1e-12)
+        assert np.dot((k - m * p) ** 2, pmf) == pytest.approx(m * p * (1 - p), rel=1e-9)
+
+    def test_table_width_bounds_memory(self):
+        # one row per table holds a window of about 9 sqrt(m) entries
+        assert _kernels._table_width(1) == 2
+        assert _kernels._table_width(200) == 256
+        assert _kernels._table_width(20_000) == 2048
+
+    @pytest.mark.parametrize("m,p", [(1, 0.5), (37, 0.7), (400, 0.999), (5000, 0.3)])
+    def test_windowed_table_draws_as_the_full_table(self, m, p):
+        # the window drops only entries no uniform in [2^-54, 1 - 2^-53]
+        # can select, so every draw equals the untruncated table's
+        lg = _lg(m)
+        k = np.arange(m + 1)
+        log_pmf = lg[m + 1] - lg[k + 1] - lg[m - k + 1] + k * math.log(p) + (m - k) * math.log1p(-p)
+        full = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+        full /= full[-1]
+        tables = _kernels._binom_rows(lg, [m], [math.log(p)], [math.log1p(-p)],
+                                      _kernels._table_width(m))
+        ends = [2.0 ** -54, 1.0 - 2.0 ** -53]
+        u = np.concatenate([ends, full[full < 1.0], np.random.default_rng(2).uniform(size=2000)])
+        u = np.clip(u, *ends)[:, None]
+        got = _kernels._invert(tables, np.zeros(1, dtype=np.intp), u)
+        np.testing.assert_array_equal(got[:, 0], np.searchsorted(full, u[:, 0], side="right"))
+
+    @pytest.mark.parametrize("tau", [-0.9, 0.0, 1.7])
+    def test_mixture_trinomial_is_the_multinomial_pmf(self, tau):
+        model = cd.MixtureBinaryLaplace(0.8, 1.0, 3.0)
+        log_lap, log_bin, log_r = _kernels._mixture_split(0.8, 1.0, 3.0, np.array([tau]))
+        # the tilted component probabilities, from the model's own CGF
+        mgf = math.exp(cd.cgf_eval(model, tau))
+        p_lap = 0.2 * 9.0 / (9.0 - tau * tau) / mgf
+        p_plus = 0.8 * 0.5 * math.exp(tau) / mgf
+        p_minus = 0.8 * 0.5 * math.exp(-tau) / mgf
+        assert math.exp(log_lap[0]) == pytest.approx(p_lap, rel=1e-12)
+        assert math.exp(log_bin[0]) == pytest.approx(p_plus + p_minus, rel=1e-12)
+        assert math.exp(log_r[0, 0]) == pytest.approx(p_plus / (p_plus + p_minus), rel=1e-12)
+        # K_L from one table, then K+ from the table of the m_b = m - K_L left
+        m = 12
+        lap = _kernels._binom_rows(_lg(m), [m], log_lap, log_bin, 16)
+        plus = _kernels._binom_rows(_lg(m), np.arange(m + 1), [log_r[0, 0]] * (m + 1),
+                                    [log_r[1, 0]] * (m + 1), 16)
+        p_k_lap = _pmf(lap, 0, m + 1)
+        joint_pmf = np.zeros((m + 1, m + 1))
+        for k_lap in range(m + 1):
+            m_b = m - k_lap
+            joint_pmf[k_lap, : m_b + 1] = p_k_lap[k_lap] * _pmf(plus, m_b, m_b + 1)
+        assert joint_pmf.sum() == pytest.approx(1.0, abs=1e-13)
+        k_l, k_p = np.arange(m + 1)[:, None], np.arange(m + 1)[None, :]
+        assert np.sum(k_l * joint_pmf) == pytest.approx(m * p_lap, rel=1e-12)
+        assert np.sum(k_p * joint_pmf) == pytest.approx(m * p_plus, rel=1e-12)
+        assert np.sum((k_l - m * p_lap) * (k_p - m * p_plus) * joint_pmf) == pytest.approx(
+            -m * p_lap * p_plus, rel=1e-9)
+        k_lap, k_plus = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
+        k_minus = m - k_lap - k_plus
+        valid = k_minus >= 0
+        counts = np.stack([k_lap[valid], k_plus[valid], k_minus[valid]], axis=1)
+        want = stats.multinomial.pmf(counts, m, [p_lap, p_plus, p_minus])
+        np.testing.assert_allclose(joint_pmf[valid], want, rtol=1e-9, atol=1e-15)
+        assert np.all(joint_pmf[~valid] == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 25])
+    @pytest.mark.parametrize(
+        "model", [cd.Gaussian(1.0), cd.Laplacian(2.0), cd.BinarySymmetric(1.5),
+                  cd.MixtureBinaryLaplace(0.8, 1.0, 3.0)],
+        ids=["gaussian", "laplacian", "binary", "mixture"],
+    )
+    def test_group_sum_moments(self, model, m):
+        # A adds m tilted draws: mean m Cdot(tau), variance m C''(tau)
+        tau = np.array([-0.6, 0.4])
+        counts = np.array([m, m])
+        trials = 200_000
+        sums = _kernels._group_sampler(*cd.cgf.kernel_args(model), tau, counts)(_base(trials, 2))
+        mean, var = m * model.cdot(tau), m * model.cddot(tau)
+        se_mean = np.sqrt(var / trials)
+        assert np.all(np.abs(sums.mean(axis=0) - mean) < 5.0 * se_mean)
+        # the sample variance's stderr, from the fourth moment, bounded loosely
+        assert np.all(np.abs(sums.var(axis=0) / var - 1.0) < 0.03)
