@@ -20,8 +20,8 @@ model       group sum A of m tilted draws                   streams
 ==========  ==============================================  ==========
 Gaussian    normal, mean m tau var_z, variance m var_z       0
 binary      z0 (2K - m), K ~ Binomial(m, p+)                 0
-Laplacian   G1 / (q - tau) - G2 / (q + tau), G ~ Gamma(m)    0-17
-mixture     K_L ~ Binomial(m, p_L) Laplacian draws, then     0, 1, 2-19
+Laplacian   G1 / (q - tau) - G2 / (q + tau), G ~ Gamma(m)    0-19
+mixture     K_L ~ Binomial(m, p_L) Laplacian draws, then     0, 1, 2-21
             K+ ~ Binomial(m - K_L, r) of the m - K_L
             binary ones: z0 (2K+ - m + K_L) plus a
             Laplacian pair with G ~ Gamma(K_L)
@@ -30,12 +30,12 @@ mixture     K_L ~ Binomial(m, p_L) Laplacian draws, then     0, 1, 2-19
 Binomials are drawn by inverting CDF tables built once per call, each
 cut to the entries a uniform draw can select (about 9 sqrt(m) of them);
 the mixture's (K_L, K+) is a trinomial draw in two binomial steps, with
-one table of K+ per value of m - K_L that turns up.  Gammas are Marsaglia &
+a table row of K+ for every K_L the first step can give.  A Gamma(k) is
+an exponential -log u plus, for k >= 2, a Gamma(k - 1) by Marsaglia &
 Tsang (2000, ACM TOMS 26(3)) with a fixed budget of candidates, then
-``gammaincinv``.  Where every group has one index, the Laplacian draw is
-a side of zero and one exponential.  The uniform law has no closed-form
-sum: it keeps one inverse-CDF draw per index, from stream 1 of streams
-keyed by (seed, n, trial, index).
+``gammaincinv``.  The uniform law has no closed-form sum: it keeps one
+inverse-CDF draw per index, from stream 1 of streams keyed by (seed, n,
+trial, index).
 
 The Gaussian Z stays sampled although Z + N is Gaussian too, so the
 estimate keeps a sampling error like every other model's.
@@ -101,46 +101,41 @@ def _uniform_z(z0, tau, u):
 
 
 # Marsaglia-Tsang candidates per gamma draw before the gammaincinv
-# fallback, and the streams one gamma draw owns: the fallback's, then a
-# normal and a uniform per candidate.
+# fallback, and the streams one gamma draw owns: an exponential's, a
+# normal and a uniform per candidate, then the fallback's.
 _TRIES = 4
-_GAMMA_SPAN = 1 + 2 * _TRIES
+_GAMMA_SPAN = 2 + 2 * _TRIES
 
 
 def _gamma(k, base, j):
     """Gamma(k) draws for non-negative integer shapes k (broadcast to
-    base's shape) from streams j, j + 1, ...; 0 where k = 0.  Later
-    candidates are evaluated only on the entries still rejected, so an
-    entry's draw depends on its streams alone."""
+    base's shape) from streams j, j + 1, ...: an exponential -log u where
+    k >= 1, plus a Gamma(k - 1) where k >= 2.  That is Marsaglia-Tsang,
+    whose later candidates are evaluated only on the entries still
+    rejected, so an entry's draw depends on its streams alone."""
     shape = np.broadcast_to(k, base.shape).ravel()
     flat = base.ravel()
-    out = np.zeros(flat.size)
-    todo = np.flatnonzero(shape)
+    out = np.where(shape > 0, -np.log(_draw(flat, j)), 0.0)
+    todo = np.flatnonzero(shape > 1)
     for t in range(_TRIES):
-        b, d = flat[todo], shape[todo] - 1.0 / 3.0
+        if todo.size == 0:
+            break
+        b, d = flat[todo], shape[todo] - 4.0 / 3.0
         x = ndtri(_draw(b, j + 1 + 2 * t))
         v = 1.0 + x / np.sqrt(9.0 * d)
-        v **= 3
+        v *= v * v
         log_u = np.log(_draw(b, j + 2 + 2 * t))
         log_v = np.log(np.where(v > 0.0, v, 1.0))
         ok = (v > 0.0) & (log_u < 0.5 * x * x + d - d * v + d * log_v)
-        out[todo[ok]] = d[ok] * v[ok]
+        out[todo[ok]] += d[ok] * v[ok]
         todo = todo[~ok]
-    out[todo] = gammaincinv(shape[todo], _draw(flat[todo], j))
+    out[todo] += gammaincinv(shape[todo] - 1.0, _draw(flat[todo], j + 1 + 2 * _TRIES))
     return out.reshape(base.shape)
 
 
-def _laplace_pair(k, q, tau, base, j, at_most_one):
+def _laplace_pair(k, q, tau, base, j):
     """Sum of k i.i.d. Laplacian(q) draws tilted by tau: the asymmetric
-    Laplace law E1 / (q - tau) - E2 / (q + tau), summed.  Where no k can
-    exceed 1 the one draw is a side of zero and an exponential
-    magnitude."""
-    if at_most_one:
-        right = _draw(base, j + _GAMMA_SPAN) < (q + tau) / (2.0 * q)
-        e = np.log(_draw(base, j))
-        e *= np.where(right, -1.0 / (q - tau), 1.0 / (q + tau))
-        e *= k
-        return e
+    Laplace law E1 / (q - tau) - E2 / (q + tau), summed."""
     a = _gamma(k, base, j)
     a /= q - tau
     a -= _gamma(k, base, j + _GAMMA_SPAN) / (q + tau)
@@ -164,17 +159,28 @@ def _binom_rows(lg, m, lp, lq, width):
     """CDF tables of Binomial(m[i], p[i]) from ln p and ln(1 - p), with
     lg[k] = ln Gamma(k) for k <= max(m) + 1: row i holds the entries from
     k = lo[i] on that a uniform u in [2^-54, 1 - 2^-53] can select (the
-    first above 2^-54 up to the first equal to 1), padded with 2."""
-    rows = np.full((len(m), width), 2.0)
-    lo = np.empty(len(m), dtype=np.intp)
-    for i, (mi, lpi, lqi) in enumerate(zip(m, lp, lq)):
-        k = np.arange(mi + 1)
-        log_pmf = lg[mi + 1] - lg[k + 1] - lg[mi - k + 1] + k * lpi + (mi - k) * lqi
-        cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
-        cdf /= cdf[-1]
-        lo[i] = np.searchsorted(cdf, 0.5 * _U53, side="right")
-        kept = cdf[lo[i] : np.searchsorted(cdf, 1.0) + 1]
-        rows[i, : kept.size] = kept
+    first above 2^-54 up to the first equal to 1), padded with 2.  The
+    rows are built in blocks of about _CHUNK_ELEMS pmf entries."""
+    m = np.asarray(m)
+    lp, lq = np.asarray(lp, dtype=float)[:, None], np.asarray(lq, dtype=float)[:, None]
+    rows = np.empty((m.size, width))
+    lo = np.empty(m.size, dtype=np.intp)
+    k = np.arange(m.max() + 1)
+    j = np.arange(width)
+    step = max(1, _CHUNK_ELEMS // k.size)
+    for s in range(0, m.size, step):
+        mi = m[s : s + step, None]
+        # k > m[i] reads lg[0] = inf: no mass, and the CDF stays at 1
+        log_pmf = lg[mi + 1] - lg[k + 1] - lg[np.maximum(mi - k + 1, 0)] + k * lp[s : s + step]
+        log_pmf += (mi - k) * lq[s : s + step]
+        cdf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True))
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        first = np.count_nonzero(cdf <= 0.5 * _U53, axis=1)
+        size = np.count_nonzero(cdf < 1.0, axis=1) + 1 - first
+        at = np.minimum(first[:, None] + j, k.size - 1)
+        rows[s : s + step] = np.where(j < size[:, None], np.take_along_axis(cdf, at, axis=1), 2.0)
+        lo[s : s + step] = first
     return rows, lo
 
 
@@ -216,7 +222,7 @@ def _group_sampler(model_id, a0, a1, a2, tau, m):
         mean, sd = m * tau * a0, np.sqrt(m * a0)
         return lambda base: mean + sd * ndtri(_draw(base, 0))
     if model_id == 1:  # laplacian, a0 = q
-        return lambda base: _laplace_pair(m, a0, tau, base, 0, m.max() == 1)
+        return lambda base: _laplace_pair(m, a0, tau, base, 0)
     lg = np.concatenate([[np.inf], gammaln(np.arange(1.0, m.max() + 3.0))])
     width = _table_width(int(m.max()))
     group = np.arange(m.size)
@@ -225,41 +231,34 @@ def _group_sampler(model_id, a0, a1, a2, tau, m):
         tables = _binom_rows(lg, m, _log_sigmoid(x), _log_sigmoid(-x), width)
         return lambda base: 2.0 * a0 * _invert(tables, group, _draw(base, 0)) - a0 * m
     # mixture, a0 = delta, a1 = z0, a2 = q: K_L ~ Binomial(m, p_L), and
-    # of the m_b = m - K_L binary draws K+ ~ Binomial(m_b, r) are +z0.  A
-    # table row of K+ is built for each (group, m_b) as it turns up.
+    # of the m - K_L binary draws K+ ~ Binomial(m - K_L, r) are +z0.  The
+    # K+ tables hold one row for each K_L the K_L table can select, group
+    # by group: row plus_at[g] + K_L.
     log_lap, log_bin, log_r = _mixture_split(a0, a1, a2, tau)
     lap_tables = _binom_rows(lg, m, log_lap, log_bin, width)
-    span = m.max() + 1
-    plus_row = np.full(m.size * span, -1, dtype=np.int64)  # by group * span + m_b
-    plus_tables = (np.empty((0, width)), np.empty(0, dtype=np.intp))
-
-    def binary_part(m_bin, u):
-        # z0 (K+ - K-) given the m_b binary draws of each entry
-        nonlocal plus_tables
-        key = group * span + m_bin
-        rows = plus_row[key]
-        if (rows < 0).any():
-            new = np.unique(key[rows < 0])
-            g, mb = np.divmod(new, span)
-            plus_row[new] = plus_tables[1].size + np.arange(new.size)
-            table, lo = _binom_rows(lg, mb, *log_r[:, g], width)
-            plus_tables = (np.vstack([plus_tables[0], table]), np.concatenate([plus_tables[1], lo]))
-            rows = plus_row[key]
-        return a1 * (2.0 * _invert(plus_tables, rows, u) - m_bin)
+    kept = np.count_nonzero(lap_tables[0] <= 1.0, axis=1)
+    plus_at = np.cumsum(kept) - kept - lap_tables[1]
+    g = np.repeat(group, kept)
+    k_lap = np.arange(g.size) - plus_at[g]
+    plus_tables = _binom_rows(lg, m[g] - k_lap, *log_r[:, g], width)
 
     def mixture(base):
         k_lap = _invert(lap_tables, group, _draw(base, 0))
-        a = binary_part(m - k_lap, _draw(base, 1))
-        a += _laplace_pair(k_lap, a2, tau, base, 2, span == 2)
+        k_plus = _invert(plus_tables, plus_at + k_lap, _draw(base, 1))
+        a = a1 * (2.0 * k_plus - (m - k_lap))
+        a += _laplace_pair(k_lap, a2, tau, base, 2)
         return a
 
     return mixture
 
 
 # Elements (trials x groups; trials x indices for the uniform law) per
-# chunk: small enough that every temporary stays in cache, whatever the
-# number of groups, and that the dozen or so a gamma draw holds at once
-# stay near 2 MB.
+# chunk, and pmf entries per block of a table build.  Chosen by timing
+# the benchmark's five simulate operations at 2^13, 2^14 and 2^15, where
+# the uniform law's per-index draws dominate.  A float64 temporary of a
+# chunk is then 128 KB, glibc's initial mmap threshold, so the kernel's
+# speed still depends on whether earlier frees in the process raised that
+# threshold; chunk buffers reused across chunks would not.
 _CHUNK_ELEMS = 2 ** 14
 
 

@@ -383,8 +383,9 @@ class TestGroupSums:
         draws = _kernels._gamma(np.array([k]), _base(20_000, 1), 0).ravel()
         assert stats.kstest(draws, stats.gamma(k).cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("k", [1, 7, 400])
+    @pytest.mark.parametrize("k", [2, 7, 400])
     def test_gammaincinv_fallback_follows_the_gamma_law(self, k, monkeypatch):
+        # shape 1 is one exponential and never reaches the fallback
         monkeypatch.setattr(_kernels, "_TRIES", 0)
         draws = _kernels._gamma(np.array([k]), _base(20_000, 1), 0).ravel()
         assert stats.kstest(draws, stats.gamma(k).cdf).pvalue > 1e-3
@@ -405,6 +406,20 @@ class TestGroupSums:
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.dot(k, pmf) == pytest.approx(m * p, rel=1e-12)
         assert np.dot((k - m * p) ** 2, pmf) == pytest.approx(m * p * (1 - p), rel=1e-9)
+
+    def test_table_rows_do_not_depend_on_their_block(self, monkeypatch):
+        # rows of unequal m built together, in blocks of any size, equal
+        # the rows built one at a time
+        m = np.array([1, 5000, 0, 37, 400, 1])
+        p = np.array([0.5, 0.3, 0.9, 0.999, 0.62, 0.01])
+        lg, width = _lg(m.max()), _kernels._table_width(m.max())
+        alone = [_kernels._binom_rows(lg, m[i : i + 1], np.log(p[i : i + 1]), np.log1p(-p[i : i + 1]), width)
+                 for i in range(m.size)]
+        for elems in (2 ** 14, 64):
+            monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", elems)
+            table, lo = _kernels._binom_rows(lg, m, np.log(p), np.log1p(-p), width)
+            np.testing.assert_array_equal(table, np.vstack([t for t, _ in alone]))
+            np.testing.assert_array_equal(lo, np.concatenate([l for _, l in alone]))
 
     def test_table_width_bounds_memory(self):
         # one row per table holds a window of about 9 sqrt(m) entries
@@ -465,7 +480,8 @@ class TestGroupSums:
         np.testing.assert_allclose(joint_pmf[valid], want, rtol=1e-9, atol=1e-15)
         assert np.all(joint_pmf[~valid] == 0.0)
 
-    @pytest.mark.parametrize("m", [1, 25])
+    # at m = 400 the K_L tables start past K_L = 0 (lo > 0)
+    @pytest.mark.parametrize("m", [1, 25, 400])
     @pytest.mark.parametrize(
         "model", [cd.Gaussian(1.0), cd.Laplacian(2.0), cd.BinarySymmetric(1.5),
                   cd.MixtureBinaryLaplace(0.8, 1.0, 3.0)],
