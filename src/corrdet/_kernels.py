@@ -110,9 +110,10 @@ _GAMMA_SPAN = 2 + 2 * _TRIES
 def _gamma(k, base, j):
     """Gamma(k) draws for non-negative integer shapes k (broadcast to
     base's shape) from streams j, j + 1, ...: an exponential -log u where
-    k >= 1, plus a Gamma(k - 1) where k >= 2.  That is Marsaglia-Tsang,
-    whose later candidates are evaluated only on the entries still
-    rejected, so an entry's draw depends on its streams alone."""
+    k >= 1, plus where k >= 2 a Marsaglia-Tsang Gamma(k - 1), by
+    gammaincinv after _TRIES candidates.  Later candidates are evaluated
+    only on the entries still rejected, so an entry's draw depends on its
+    streams alone."""
     shape = np.broadcast_to(k, base.shape).ravel()
     flat = base.ravel()
     out = np.where(shape > 0, -np.log(_draw(flat, j)), 0.0)
