@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  (unused; corrbench/tracer.py wraps this name)
 from scipy.special import log_ndtr
 
 from . import cgf as _cgf
@@ -60,6 +59,18 @@ from .exponents import ExponentResult, JointAtoms, PowerBudget, fa_exponent, md_
 # Below this coefficient the quadratic/absolute kernels degenerate; fall
 # back to the plain-correlator code path.
 ALPHA_PLAIN = 1e-8
+
+
+def __getattr__(name):
+    """``quad`` is scipy's, imported on first lookup: nothing here calls it,
+    but corrbench/tracer.py wraps the name.  Importing scipy.integrate with
+    the module would load scipy.optimize, sparse and linalg into every
+    process that imports corrdet."""
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Infeasible(ValueError):

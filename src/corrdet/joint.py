@@ -159,8 +159,6 @@ def _envelope_grid(model: NoiseModel, x_hi: float):
     Mixed log+linear abscissae resolve both the relative structure near
     zero and the chord end at x_hi.
     """
-    if isinstance(model, Gaussian):  # H is linear
-        return np.array([0.0, x_hi]), np.array([0.0, 0.5 * model.var_z * x_hi])
     logs = x_hi * np.logspace(-12.0, 0.0, 6000)
     lins = np.linspace(0.0, x_hi, 4000)
     x = np.unique(np.concatenate([[0.0, x_hi], logs, lins]))
@@ -191,6 +189,11 @@ def c_tilde(model: NoiseModel, lam: float, p: float, p_cap: float) -> EnvelopeVa
     edge = _cgf._pole(model)
     if lam * math.sqrt(p_cap) >= edge:
         raise DomainError("lam*sqrt(p_cap) reaches the CGF pole")
+    if model.h_shape == "convex":  # H is its own envelope
+        return EnvelopeValue(_cgf.cgf_eval(model, lam * math.sqrt(p)), float(p), float(p), 0.0)
+    if model.h_shape == "concave":  # the envelope is the chord from 0 to lam^2 p_cap
+        x = np.array([0.0, lam * lam * p_cap])
+        return _chord(model, lam, p, p_cap, (x, _h(model, x)))
     return _chord(model, lam, p, p_cap, _envelope_grid(model, lam * lam * p_cap))
 
 

@@ -107,6 +107,33 @@ class TestEnvelope:
                 prev = env.value
             assert prev < 1e-3  # interference nullified in the large-cap limit
 
+    DECLARED = [cd.Gaussian(1.0), cd.BinarySymmetric(7.0), cd.Uniform(1.5), cd.Laplacian(2.0)]
+
+    @pytest.mark.parametrize("model", DECLARED, ids=lambda m: type(m).__name__)
+    def test_declared_shape_matches_the_hull(self, model):
+        # the declared shape gives the same envelope as the 10,000-point hull
+        for lam, p_cap in [(0.3, 10.0), (0.5, 1e4), (1.3, 0.8)]:
+            if not lam * math.sqrt(p_cap) < cd.cgf._pole(model):
+                continue
+            hull = joint._envelope_grid(model, lam * lam * p_cap)
+            for p in [0.0, 0.37 * p_cap, p_cap]:
+                want = joint._chord(model, lam, p, p_cap, hull)
+                assert cd.c_tilde(model, lam, p, p_cap) == want, (lam, p_cap, p)
+
+    def test_declared_shape_builds_no_hull(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append(x.size)
+            return lower_hull(x, y)
+
+        monkeypatch.setattr(joint, "lower_hull", counted)
+        for model in self.DECLARED:
+            cd.c_tilde(model, 0.5, 3.0, 10.0)
+        assert calls == []
+        cd.c_tilde(MIX, 0.5, 3.0, 10.0)  # no declared shape: one hull
+        assert len(calls) == 1
+
     def test_mixture_support_reconstructs(self):
         env = cd.c_tilde(MIX, 1.0, 4.0, 20.0)
         assert (1 - env.alpha) * env.p0 + env.alpha * env.p1 == pytest.approx(4.0, abs=1e-9)

@@ -378,6 +378,28 @@ class TestGroupSums:
         u = _kernels._unit(np.array([0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64))
         assert list(u) == [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
 
+    @pytest.mark.parametrize("z0", [1.0, 2.5])
+    @pytest.mark.parametrize("tau", [400.0, 30.0, 1.5, 1e-3, 1e-6, -1e-6, -1e-3, -1.5, -30.0, -400.0])
+    def test_uniform_inverse_cdf_inverts_the_tilted_cdf(self, z0, tau):
+        # e^{2 tau z0} overflows past tau z0 ~ 354; the draws must not
+        u = np.concatenate([[2.0 ** -54, 1e-12], np.linspace(1e-6, 1.0 - 1e-6, 101), [1.0 - 2.0 ** -53]])
+        z = _kernels._uniform_z(z0, np.array([tau]), u[:, None]).ravel()
+        assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= z0)
+        g = tau * z0
+        if g > 1.0:  # (e^{tau (z - z0)} - e^{-2g}) / (1 - e^{-2g})
+            cdf = (np.exp(tau * (z - z0)) - math.exp(-2.0 * g)) / -math.expm1(-2.0 * g)
+        else:  # (e^{tau (z + z0)} - 1) / (e^{2g} - 1)
+            cdf = np.expm1(tau * (z + z0)) / math.expm1(2.0 * g)
+        np.testing.assert_allclose(cdf, u, rtol=0.0, atol=1e-12)
+
+    def test_uniform_estimate_is_finite_at_a_large_tilt(self):
+        # half the indices have w = -1, tilted by +400 towards +z0
+        cfg = cd.SimConfig(n_values=(50, 100), trials=2000, seed=7, tilt_lambda=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = cd.md_probability(cd.Uniform(1.0), [1.0, -1.0], [1.0, -1.0], 0.4, cfg, BUD)
+        assert all(0.0 < entry["prob_estimate"] < 1.0 for entry in est.per_n)
+
     @pytest.mark.parametrize("k", [1, 2, 7, 60, 400])
     def test_gamma_draws_follow_the_gamma_law(self, k):
         draws = _kernels._gamma(np.array([k]), _base(20_000, 1), 0).ravel()
