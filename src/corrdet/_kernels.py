@@ -32,10 +32,11 @@ cut to the entries a uniform draw can select (about 9 sqrt(m) of them);
 the mixture's (K_L, K+) is a trinomial draw in two binomial steps, with
 a table row of K+ for every K_L the first step can give.  A Gamma(k) is
 an exponential -log u plus, for k >= 2, a Gamma(k - 1) by Marsaglia &
-Tsang (2000, ACM TOMS 26(3)) with a fixed budget of candidates, then
-``gammaincinv``.  The uniform law has no closed-form sum: it keeps one
-inverse-CDF draw per index, from stream 1 of streams keyed by (seed, n,
-trial, index).
+Tsang (2000, ACM TOMS 26(3)): a fixed budget of candidates, then, for
+the entries all of them rejected, candidates from a sub-stream keyed by
+a last stream until each is accepted, which keeps the draw exact.  The
+uniform law has no closed-form sum: it keeps one inverse-CDF draw per
+index, from stream 1 of streams keyed by (seed, n, trial, index).
 
 The Gaussian Z stays sampled although Z + N is Gaussian too, so the
 estimate keeps a sampling error like every other model's.
@@ -43,10 +44,12 @@ estimate keeps a sampling error like every other model's.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, log_ndtr, ndtri
+
+from ._special import gammaln_table, log_ndtr, ndtri
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -81,11 +84,17 @@ def _unit(x, out=None):
     return np.minimum(u, 1.0 - _U53, out=u)
 
 
+@functools.lru_cache(maxsize=64)
+def _stream_key(seed, n_tag):
+    """The hash of (seed, n_tag) that every stream of one md_weights call
+    starts from; kept, since each of its chunks asks for it again."""
+    with np.errstate(over="ignore"):
+        return _sm_fin(_sm_fin(np.uint64(seed) + _GAMMA) ^ np.uint64(n_tag))
+
+
 def _stream_base(seed, n_tag, trial_col, t_row, out=None, tmp=None):
     with np.errstate(over="ignore"):
-        h = _sm_fin(np.uint64(seed) + _GAMMA)
-        h = _sm_fin(h ^ np.uint64(n_tag))
-        h = _sm_fin(h ^ trial_col)
+        h = _sm_fin(_stream_key(seed, n_tag) ^ trial_col)
         return _sm_fin(np.bitwise_xor(h, t_row, out=out), tmp)
 
 
@@ -121,9 +130,9 @@ def _uniform_z(z0, tau, u, out=None):
     return z
 
 
-# Marsaglia-Tsang candidates per gamma draw before the gammaincinv
-# fallback, and the streams one gamma draw owns: an exponential's, a
-# normal and a uniform per candidate, then the fallback's.
+# Marsaglia-Tsang candidates per gamma draw on its own streams, and the
+# streams one gamma draw owns: an exponential's, a normal and a uniform
+# per candidate, then the one that keys the sub-stream of later candidates.
 _TRIES = 4
 _GAMMA_SPAN = 2 + 2 * _TRIES
 
@@ -131,27 +140,31 @@ _GAMMA_SPAN = 2 + 2 * _TRIES
 def _gamma(k, base, j):
     """Gamma(k) draws for non-negative integer shapes k (broadcast to
     base's shape) from streams j, j + 1, ...: an exponential -log u where
-    k >= 1, plus where k >= 2 a Marsaglia-Tsang Gamma(k - 1), by
-    gammaincinv after _TRIES candidates.  Later candidates are evaluated
-    only on the entries still rejected, so an entry's draw depends on its
-    streams alone."""
+    k >= 1, plus where k >= 2 a Marsaglia-Tsang Gamma(k - 1).  Candidate
+    t < _TRIES reads streams j + 1 + 2t and j + 2 + 2t; from candidate
+    _TRIES on, the entries still rejected read streams 0, 1, 2, ... of a
+    sub-stream keyed by stream j + 1 + 2 _TRIES.  Later candidates are
+    evaluated only on the entries still rejected, so an entry's draw
+    depends on its streams alone."""
     shape = np.broadcast_to(k, base.shape).ravel()
     flat = base.ravel()
     out = np.where(shape > 0, -np.log(_draw(flat, j)), 0.0)
     todo = np.flatnonzero(shape > 1)
-    for t in range(_TRIES):
-        if todo.size == 0:
-            break
-        b, d = flat[todo], shape[todo] - 4.0 / 3.0
-        x = ndtri(_draw(b, j + 1 + 2 * t))
+    keys, stream, tries = flat[todo], j + 1, 0
+    while todo.size:
+        if tries == _TRIES:
+            with np.errstate(over="ignore"):
+                keys = _sm_fin(keys + np.uint64(stream + 1) * _GAMMA)
+            stream = 0
+        d = shape[todo] - 4.0 / 3.0
+        x = ndtri(_draw(keys, stream))
         v = 1.0 + x / np.sqrt(9.0 * d)
         v *= v * v
-        log_u = np.log(_draw(b, j + 2 + 2 * t))
+        log_u = np.log(_draw(keys, stream + 1))
         log_v = np.log(np.where(v > 0.0, v, 1.0))
         ok = (v > 0.0) & (log_u < 0.5 * x * x + d - d * v + d * log_v)
         out[todo[ok]] += d[ok] * v[ok]
-        todo = todo[~ok]
-    out[todo] += gammaincinv(shape[todo] - 1.0, _draw(flat[todo], j + 1 + 2 * _TRIES))
+        todo, keys, stream, tries = todo[~ok], keys[~ok], stream + 2, tries + 1
     return out.reshape(base.shape)
 
 
@@ -245,7 +258,7 @@ def _group_sampler(model_id, a0, a1, a2, tau, m):
         return lambda base: mean + sd * ndtri(_draw(base, 0))
     if model_id == 1:  # laplacian, a0 = q
         return lambda base: _laplace_pair(m, a0, tau, base, 0)
-    lg = np.concatenate([[np.inf], gammaln(np.arange(1.0, m.max() + 3.0))])
+    lg = gammaln_table(int(m.max()) + 2)
     width = _table_width(int(m.max()))
     group = np.arange(m.size)
     if model_id == 2:  # binary, a0 = z0
@@ -285,27 +298,10 @@ def _group_sampler(model_id, a0, a1, a2, tau, m):
 _CHUNK_ELEMS = 2 ** 15
 
 
-def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials):
-    """Per-trial importance weights of the miss event, noise integrated out.
-
-    ``log_norm`` is sum_i C(lam w_i) + lam^2 var_n ||w||^2 / 2, the log
-    normalizer of the tilt on X = Z + N.  Under the tilt, given
-    a = sum_i w_i Z_i the noise term of x = a + sum_i w_i N_i is normal
-    with mean -lam var_n ||w||^2 and variance sd^2 = var_n ||w||^2, so
-    E[1{x <= thresh} e^{lam x + log_norm} | Z] is
-
-        exp(lam a + sum_i C(lam w_i) + log Phi((thresh - a) / sd)),
-
-    where sum_i C(lam w_i) = log_norm - lam^2 sd^2 / 2.
-
-    a is sum_v v A_v over the distinct non-zero weights v, A_v drawn from
-    its exact law (the uniform law sums its n per-index draws instead).
-    With ||w|| = 0 the statistic is a itself and the weight is the
-    indicator times e^{lam a + log_norm}.
-    """
-    var_sum = var_n * float(np.dot(w, w))
-    sd = math.sqrt(var_sum)
-    c_sum = log_norm - 0.5 * lam * lam * var_sum
+def _tilted_sums(model_id, a0, a1, a2, w, lam, seed, n_tag, trials):
+    """a = sum_i w_i Z_i for each trial, the Z_i drawn under the tilt lam:
+    sum_v v A_v over the distinct non-zero weights v, A_v drawn from its
+    exact law, or for the uniform law the sum of its n per-index draws."""
     if model_id == 3:  # uniform, a0 = z0
         vals, tau = w, -lam * w
 
@@ -320,7 +316,7 @@ def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_ta
         def sample(base, tmp, z):
             return group_sums(base)
 
-    out = np.empty(trials)
+    a = np.empty(trials)
     col = np.arange(vals.size, dtype=np.uint64)[None, :]
     rows = max(1, _CHUNK_ELEMS // max(vals.size, 1))
     # one set of chunk buffers for every chunk, so that the chunk loop
@@ -332,12 +328,33 @@ def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_ta
         k = stop - done
         trial_col = np.arange(done, stop, dtype=np.uint64)[:, None]
         b = _stream_base(seed, n_tag, trial_col, col, base[:k], tmp[:k])
-        a = np.einsum("ij,j->i", sample(b, tmp[:k], z[:k]), vals)
-        if sd > 0.0:
-            out[done:stop] = np.exp(lam * a + c_sum + log_ndtr((thresh - a) / sd))
-        else:
-            out[done:stop] = np.where(a <= thresh, np.exp(lam * a + log_norm), 0.0)
-    return out
+        np.einsum("ij,j->i", sample(b, tmp[:k], z[:k]), vals, out=a[done:stop])
+    return a
+
+
+def md_weights(model_id, a0, a1, a2, w, lam, var_n, thresh, log_norm, seed, n_tag, trials):
+    """Per-trial importance weights of the miss event, noise integrated out.
+
+    ``log_norm`` is sum_i C(lam w_i) + lam^2 var_n ||w||^2 / 2, the log
+    normalizer of the tilt on X = Z + N.  Under the tilt, given
+    a = sum_i w_i Z_i (from _tilted_sums) the noise term of
+    x = a + sum_i w_i N_i is normal with mean -lam var_n ||w||^2 and
+    variance sd^2 = var_n ||w||^2, so E[1{x <= thresh} e^{lam x + log_norm}
+    | Z] is
+
+        exp(lam a + sum_i C(lam w_i) + log Phi((thresh - a) / sd)),
+
+    where sum_i C(lam w_i) = log_norm - lam^2 sd^2 / 2.  With ||w|| = 0
+    the statistic is a itself and the weight is the indicator times
+    e^{lam a + log_norm}.
+    """
+    var_sum = var_n * float(np.dot(w, w))
+    sd = math.sqrt(var_sum)
+    a = _tilted_sums(model_id, a0, a1, a2, w, lam, seed, n_tag, trials)
+    if sd > 0.0:
+        c_sum = log_norm - 0.5 * lam * lam * var_sum
+        return np.exp(lam * a + c_sum + log_ndtr((thresh - a) / sd))
+    return np.where(a <= thresh, np.exp(lam * a + log_norm), 0.0)
 
 
 def lower_hull(x, y):

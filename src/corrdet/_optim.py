@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(2.0 ** -52)
 
 
 def golden_max(f, lo, hi, rel_tol=1e-12, max_iter=200):
@@ -39,6 +40,75 @@ def golden_max(f, lo, hi, rel_tol=1e-12, max_iter=200):
     for x, fx in ((x1, f1), (x2, f2), (float(lo), f(float(lo))), (float(hi), f(float(hi)))):
         if fx > best_f:
             best_x, best_f = x, fx
+    return best_x, best_f, it
+
+
+def brent_max(f, lo, hi, rel_tol=1e-12, max_iter=200):
+    """Brent's maximization of a unimodal f on [lo, hi] (Brent 1973, ch. 5).
+
+    Each step fits a parabola through the three best points seen and
+    takes its vertex, or takes a golden-section step where the parabola
+    would leave the bracket or not halve the step before last.  It stops
+    once the bracket around the best point x is within sqrt(eps) |x| +
+    rel_tol (hi - lo) / 3 of it on both sides, as scipy's fminbound does.
+    Returns (x, f(x), iterations); as in golden_max the endpoints are
+    checked, so an edge maximum is returned exactly.
+    """
+    a, b = float(lo), float(hi)
+    if b <= a:
+        return a, f(a), 0
+    abs_tol = rel_tol * (b - a) / 3.0
+    # g = -f is minimized: x the best point, w the second best, v the previous w
+    x = w = v = a + (1.0 - INVPHI) * (b - a)
+    gx = gw = gv = -f(x)
+    d = e = 0.0
+    it = 0
+    while it < max_iter:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + abs_tol
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, m - x)
+        if golden:
+            e = (a if x >= m else b) - x
+            d = (1.0 - INVPHI) * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        gu = -f(u)
+        if gu <= gx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
+        it += 1
+    best_x, best_f = x, -gx
+    for end in (float(lo), float(hi)):
+        f_end = f(end)
+        if f_end > best_f:
+            best_x, best_f = end, f_end
     return best_x, best_f, it
 
 

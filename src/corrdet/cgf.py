@@ -55,7 +55,8 @@ from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erf, erfcx, log_ndtr
+
+from ._special import erf, erfcx, log_ndtr
 
 LN2 = math.log(2.0)
 LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -109,42 +110,63 @@ def _log_sinh_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, np.log1p(_sinhc_series(np.minimum(ax, 1.0))[0]), big)
 
 
-def _log_erfc_min(x):
-    # ln erfcx(x) - min(x, 0)^2, which is ln erfc(x) below 0 where erfcx overflows
-    neg = x < 0.0
-    return np.where(neg, LN2 + log_ndtr(-SQRT2 * x), np.log(erfcx(np.where(neg, 0.0, x))))
+def _erfc_logs(x):
+    """erfcx(|x|) and ln erfcx(x) - min(x, 0)^2, which is ln erfc(x) below
+    0 where erfcx overflows, from one erfcx call on all of x."""
+    e = erfcx(np.abs(x))
+    return e, np.where(x < 0.0, LN2 + np.log1p(-0.5 * e * np.exp(-x * x)), np.log(e))
 
 
 def _log_erfcx(x):
     m = np.minimum(x, 0.0)
-    return _log_erfc_min(x) + m * m
+    return _erfc_logs(x)[1] + m * m
 
 
 def _log_npdf(x):
     return -0.5 * x * x - LN_SQRT_2PI
 
 
-def _log_mills(u):
-    # Mills ratio R(u) = (1 - Phi(u)) / phi(u) = sqrt(pi/2) erfcx(u / sqrt(2))
-    return LN_SQRT_HALF_PI + _log_erfcx(u / SQRT2)
-
-
+# Mills ratio R(u) = (1 - Phi(u)) / phi(u) = sqrt(pi/2) erfcx(u / sqrt(2));
+# its helpers take the erfcx of every point they read from one call.
 # 1 - u R(u) ~ sum_n (-1)^{n+1} (2n-1)!! / u^{2n}; past u = 30 the next term is < 5e-15
 _SLOPE_SERIES = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0, 135135.0)
 
 
-def _log_neg_mills_slope(u):
-    # ln(-R'(u)) = ln(1 - u R(u)); the product cancels for large u, where
-    # the asymptotic series takes over
+def _mills_ddiff_points(y, h):
+    """The lower end y' = min(y, y + h), the width h' = |h| and the points
+    y', y' + h' and min(y' + h'/2, 30) at which _log_mills_ddiff_at reads R."""
+    y = np.minimum(y, y + h)
+    h = np.abs(h)
+    return y, h, [y, y + h, np.minimum(y + 0.5 * h, 30.0)]
+
+
+def _log_mills_ddiff_at(y, h, x, e, f):
+    """ln[(R(y) - R(y + h)) / h] from _mills_ddiff_points' y, h and the
+    _erfc_logs e, f of its points over sqrt(2), x."""
+    m0 = np.minimum(x[0], 0.0)
+    # min(x1, 0) - min(x0, 0), from h rather than the rounded y + h
+    step = np.minimum(h, np.maximum(-y, 0.0)) / SQRT2
+    gap = f[0] - f[1] - step * (2.0 * m0 + step)
+    wide = gap > 1e-5
+    diff = (
+        LN_SQRT_HALF_PI + f[0] + m0 * m0
+        + np.log(-np.expm1(-np.where(wide, gap, 1.0)))
+        - np.log(np.where(wide, h, 1.0))
+    )
+    # ln(-R'(u)) = ln(1 - u R(u)) at the midpoint u; the product cancels
+    # for large u, where the asymptotic series takes over
+    u = y + 0.5 * h
     neg, big = u < 0.0, u > 30.0
-    left = np.logaddexp(0.0, np.log(np.where(neg, -u, 1.0)) + _log_mills(np.minimum(u, 0.0)))
+    m2 = np.minimum(x[2], 0.0)
+    left = np.logaddexp(0.0, np.log(np.where(neg, -u, 1.0)) + LN_SQRT_HALF_PI + f[2] + m2 * m2)
     mid = np.clip(u, 0.0, 30.0)
-    centre = np.log1p(-mid * math.exp(LN_SQRT_HALF_PI) * erfcx(mid / SQRT2))
+    centre = np.log1p(-mid * math.exp(LN_SQRT_HALF_PI) * e[2])
     r = 1.0 / np.where(big, u, 30.0) ** 2
     tail = 0.0
     for coef in reversed(_SLOPE_SERIES):
         tail = (tail + coef) * r
-    return np.where(neg, left, np.where(big, np.log(tail), centre))
+    slope = np.where(neg, left, np.where(big, np.log(tail), centre))
+    return np.where(wide, diff, slope)
 
 
 def _log_mills_ddiff(y, h):
@@ -155,19 +177,9 @@ def _log_mills_ddiff(y, h):
     cancel, and the midpoint slope -R'(y + h/2) replaces it; both are
     good to about 5e-11 relative at the switch.
     """
-    y = np.where(h < 0.0, y + h, y)
-    h = np.abs(h)
-    x0, x1 = y / SQRT2, (y + h) / SQRT2
-    # min(x1, 0) - min(x0, 0), from h rather than the rounded y + h
-    m0, step = np.minimum(x0, 0.0), np.minimum(h, np.maximum(-y, 0.0)) / SQRT2
-    gap = _log_erfc_min(x0) - _log_erfc_min(x1) - step * (2.0 * m0 + step)
-    wide = gap > 1e-5
-    diff = (
-        _log_mills(y)
-        + np.log(-np.expm1(-np.where(wide, gap, 1.0)))
-        - np.log(np.where(wide, h, 1.0))
-    )
-    return np.where(wide, diff, _log_neg_mills_slope(y + 0.5 * h))
+    y, h, points = _mills_ddiff_points(y, h)
+    x = np.stack(points) / SQRT2
+    return _log_mills_ddiff_at(y, h, x, *_erfc_logs(x))
 
 
 def _log_half_line_ndtr(k, c, d):
@@ -175,16 +187,25 @@ def _log_half_line_ndtr(k, c, d):
 
     Falling Phi (c < 0) is finite for every k: phi(d) D(-d, k/|c|) / |c|,
     D the Mills divided difference.  Rising Phi (c > 0) needs k > 0:
-    [Phi(d) + phi(d) R(d + k/c)] / k; it is +inf for k <= 0.
+    [Phi(d) + phi(d) R(d + k/c)] / k; it is +inf for k <= 0.  One erfcx
+    call serves both.
     """
+    k, c, d = np.broadcast_arrays(k, c, d)
     g = np.abs(c)
     kap = k / g
     rising = c > 0.0
     ok = kap > 0.0
     kp = np.where(ok, kap, 1.0)
-    up = np.logaddexp(log_ndtr(d), _log_npdf(d) + _log_mills(d + kp)) - np.log(kp)
+    y, h, points = _mills_ddiff_points(-d, kap)
+    x = np.stack(points + [-d, d + kp]) / SQRT2
+    e, f = _erfc_logs(x)
+    m4 = np.minimum(x[4], 0.0)
+    # ln Phi(d) = ln erfc(-d / sqrt 2) - ln 2, and ln R(d + kp)
+    log_cdf = f[3] - 0.5 * np.minimum(d, 0.0) ** 2 - LN2
+    log_mills = LN_SQRT_HALF_PI + f[4] + m4 * m4
+    up = np.logaddexp(log_cdf, _log_npdf(d) + log_mills) - np.log(kp)
     up = np.where(ok, up, math.inf)
-    down = _log_npdf(d) + _log_mills_ddiff(-d, kap)
+    down = _log_npdf(d) + _log_mills_ddiff_at(y, h, x[:3], e[:3], f[:3])
     return np.where(rising, up, down) - np.log(g)
 
 
@@ -263,8 +284,9 @@ class Laplacian:
 
     def log_mgf_quad(self, a, b):
         q, r = self.q, 2.0 * np.sqrt(b)
-        half_lines = np.logaddexp(_log_erfcx((q - a) / r), _log_erfcx((q + a) / r))
-        return np.log(0.5 * q * math.sqrt(math.pi) / r) + half_lines
+        a, r = np.broadcast_arrays(a, r)
+        minus, plus = _log_erfcx(np.stack([(q - a) / r, (q + a) / r]))
+        return np.log(0.5 * q * math.sqrt(math.pi) / r) + np.logaddexp(minus, plus)
 
     def log_mgf_ndtr(self, a, c, d):
         a, c, d = np.broadcast_arrays(a, c, d)
@@ -309,8 +331,9 @@ class BinarySymmetric:
         return _log_cosh(a * self.z0) - b * self.z0 ** 2
 
     def log_mgf_ndtr(self, a, c, d):
-        x, y = a * self.z0, c * self.z0
-        return np.logaddexp(x + log_ndtr(d + y), -x + log_ndtr(d - y)) - LN2
+        x, y, d = np.broadcast_arrays(a * self.z0, c * self.z0, d)
+        up, down = log_ndtr(np.stack([d + y, d - y]))
+        return np.logaddexp(x + up, -x + down) - LN2
 
     def mgf(self, w):
         return np.cosh(self.z0 * w)
@@ -370,11 +393,10 @@ class Uniform:
         base = 0.5 * np.log(math.pi / b) - math.log(4.0 * z0)
         far = x1 > 1.0
         an = np.where(far, 0.0, a)
-        erf_gap = erf(np.where(far, 1.0, x0)) - erf(np.where(far, 0.0, x1))
-        near = an * an / (r * r) + np.log(erf_gap)
-        tail = a * z0 - b * z0 * z0 + _log_diff_exp(
-            _log_erfcx(np.where(far, x1, 2.0)), -2.0 * a * z0 + _log_erfcx(np.where(far, x0, 3.0))
-        )
+        erf0, erf1 = erf(np.stack([np.where(far, 1.0, x0), np.where(far, 0.0, x1)]))
+        near = an * an / (r * r) + np.log(erf0 - erf1)
+        ex1, ex0 = _log_erfcx(np.stack([np.where(far, x1, 2.0), np.where(far, x0, 3.0)]))
+        tail = a * z0 - b * z0 * z0 + _log_diff_exp(ex1, -2.0 * a * z0 + ex0)
         return base + np.where(far, tail, near)
 
     def log_mgf_ndtr(self, a, c, d):

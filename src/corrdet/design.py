@@ -524,7 +524,9 @@ def design_quantized(
         raise ValueError("theta must be >= 0")
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
-    distinct = np.unique(signal.s).size
+    # np.unique would import numpy.ma on first use
+    levels = np.sort(signal.s)
+    distinct = 1 + np.count_nonzero(levels[1:] != levels[:-1])
     if distinct < k:
         k = distinct
 

@@ -49,10 +49,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import cgf as _cgf
-from ._optim import expand_bracket_max, golden_max
+from ._optim import brent_max, expand_bracket_max
+from ._special import log_ndtr
 from .cgf import DomainError, NoiseModel
 from .exponents import ExponentResult, JointAtoms, PowerBudget, fa_exponent, md_exponent
 
@@ -161,7 +161,7 @@ def c_alpha_energy(model: NoiseModel, v, alpha: float, lam: float, var_n: float)
 
 def _sup_concave(f, cap=math.inf, rel_tol=1e-11, max_iter=140):
     hi, _ = expand_bracket_max(f, hi0=min(1.0, cap), hi_cap=cap)
-    lam_star, val, it = golden_max(f, 0.0, hi, rel_tol=rel_tol, max_iter=max_iter)
+    lam_star, val, it = brent_max(f, 0.0, hi, rel_tol=rel_tol, max_iter=max_iter)
     diag = {
         "iterations": it,
         "bracket": (0.0, hi),
@@ -236,12 +236,12 @@ def fa_exponent_abs(
     def f(lam):
         if lam <= 0.0:
             return 0.0
-        t1 = lam * lam * var_n * alpha * w + log_ndtr(lam * sig * (w + alpha))
-        t2 = -lam * lam * var_n * alpha * w + log_ndtr(-lam * sig * (w - alpha))
+        shift = lam * lam * var_n * alpha * w
+        up, down = log_ndtr(lam * sig * np.stack([w + alpha, alpha - w]))
         return float(
             lam * theta
             - 0.5 * lam * lam * var_n * (e_w2 + alpha * alpha)
-            - np.dot(p, np.logaddexp(t1, t2))
+            - np.dot(p, np.logaddexp(shift + up, -shift + down))
         )
 
     return _sup_concave(f, rel_tol=1e-12)

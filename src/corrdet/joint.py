@@ -161,7 +161,9 @@ def _envelope_grid(model: NoiseModel, x_hi: float):
     """
     logs = x_hi * np.logspace(-12.0, 0.0, 6000)
     lins = np.linspace(0.0, x_hi, 4000)
-    x = np.unique(np.concatenate([[0.0, x_hi], logs, lins]))
+    # sorted, repeats dropped: np.unique would import numpy.ma on first use
+    x = np.sort(np.concatenate([[0.0, x_hi], logs, lins]))
+    x = x[np.concatenate([[True], x[1:] != x[:-1]])]
     h = _h(model, x)
     idx = lower_hull(x, h)
     return x[idx], h[idx]

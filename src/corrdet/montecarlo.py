@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import cgf as _cgf
 from ._kernels import md_weights
+from ._special import ndtr
 from .cgf import NoiseModel
 from .exponents import PowerBudget
 
@@ -84,7 +84,7 @@ def fa_probability_exact(w, theta: float, n: int, var_n: float) -> float:
     norm = float(np.linalg.norm(w_n))
     if norm == 0.0:
         return 0.5 if theta <= 0 else 0.0
-    return float(ndtr(-theta * n / (math.sqrt(var_n) * norm)))
+    return ndtr(-theta * n / (math.sqrt(var_n) * norm))
 
 
 def md_probability(
@@ -121,10 +121,14 @@ def md_probability(
             *kernel, w_n, lam, var_n, thresh, log_norm, config.seed, n, config.trials
         )
         prob = float(np.sum(weights)) / config.trials
-        second = float(np.sum(weights * weights)) / config.trials
-        var_est = max(second - prob * prob, 0.0) / config.trials
-        stderr = math.sqrt(var_est)
-        rel = stderr / prob if prob > 0 else math.inf
+        rel = math.inf
+        if prob > 0:
+            # the moments of the weights over their largest: their squares
+            # would underflow below about 1e-162
+            scaled = weights / float(np.max(weights))
+            first = float(np.sum(scaled)) / config.trials
+            second = float(np.dot(scaled, scaled)) / config.trials
+            rel = math.sqrt(max(second - first * first, 0.0) / config.trials) / first
         per_n.append({"n": n, "prob_estimate": prob, "rel_stderr": rel})
     try:
         fit = estimate_slope(per_n)

@@ -101,6 +101,21 @@ class TestMdProbability:
         assert est.per_n[0]["prob_estimate"] == 1.0
         assert est.per_n[0]["rel_stderr"] == 0.0
 
+    def test_rel_stderr_survives_underflowing_squares(self):
+        # at n = 100 the weights are about 1e-235: their squares underflow
+        cfg = cd.SimConfig(n_values=(50, 100), trials=2000, seed=7, tilt_lambda=400.0)
+        est = cd.md_probability(cd.Uniform(1.0), [1.0, -1.0], [1.0, -1.0], 0.4, cfg, BUD)
+        entry = est.per_n[1]
+        assert 0.0 < entry["prob_estimate"] < 1e-200
+        w = np.resize([1.0, -1.0], 100)
+        log_norm = float(np.sum(cd.cgf_eval(cd.Uniform(1.0), 400.0 * w)) + 0.5 * 400.0 ** 2 * 100)
+        weights = _kernels.md_weights(*cd.cgf.kernel_args(cd.Uniform(1.0)), w, 400.0, 1.0,
+                                      0.4 * 100 - 100.0, log_norm, 7, 100, 2000)
+        scaled = weights / weights.max()
+        want = scaled.std() / scaled.mean() / math.sqrt(2000)
+        assert entry["rel_stderr"] == pytest.approx(want, rel=1e-9)
+        assert 0.0 < entry["rel_stderr"] < math.inf
+
     def test_degenerate_tilt_rejected(self):
         model = cd.Laplacian(0.5)
         cfg = cd.SimConfig(n_values=(16,), trials=2000, seed=1, tilt_lambda=1.0)
@@ -272,13 +287,22 @@ class TestKernels:
             assert np.array_equal(_kernels.md_weights(*args, 9, n, 1000), want)
 
     def test_uniform_weights_keep_their_per_index_values(self):
-        # the uniform law has no closed-form group sum: its weights stay
-        # those of one inverse-CDF draw per index, pinned bit for bit
+        # the uniform law has no closed-form group sum: its draws stay one
+        # inverse-CDF draw per index, and their per-trial sums are pinned
+        # bit for bit; the weights follow from the sums by the closed form
+        lam = self.BENCH_CASES[3][3]
         args = self._kernel_call(*self.BENCH_CASES[3], 50)
-        out = _kernels.md_weights(*args, 9, 50, 1000)
-        want = ["0x1.2ddac43fed085p-5", "0x1.1f0fb44987fbcp-5", "0x1.3de9d03a26e41p-5",
-                "0x1.cbf41c67ecfdep-6", "0x1.24de9c13ba81ap-7"]
-        assert [float(x).hex() for x in out[[0, 1, 2, 500, 999]]] == want
+        w, thresh, log_norm = args[4], args[7], args[8]
+        pick = [0, 1, 2, 500, 999]
+        sums = _kernels._tilted_sums(*args[:6], 9, 50, 1000)[pick]
+        want = ["-0x1.336d0791ef9f4p+3", "-0x1.20c4035d60f14p+3", "-0x1.4b1abe7367d07p+3",
+                "-0x1.33d50fbb72f16p+4", "-0x1.a20d0c3b8ae32p+4"]
+        assert [float(x).hex() for x in sums] == want
+        var_sum = float(np.dot(w, w))
+        log_phi = special.log_ndtr((thresh - sums) / math.sqrt(var_sum))
+        ref = np.exp(lam * sums + log_norm - 0.5 * lam * lam * var_sum + log_phi)
+        out = _kernels.md_weights(*args, 9, 50, 1000)[pick]
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0.0)
 
     def test_lower_hull_property(self):
         rng = np.random.default_rng(8)
@@ -411,6 +435,21 @@ class TestGroupSums:
         monkeypatch.setattr(_kernels, "_TRIES", 0)
         draws = _kernels._gamma(np.array([k]), _base(20_000, 1), 0).ravel()
         assert stats.kstest(draws, stats.gamma(k).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k", [2, 5, 50])
+    def test_substream_fallback_is_exact_and_chunk_free(self, k, monkeypatch):
+        # with no candidate budget every draw comes from the sub-stream
+        monkeypatch.setattr(_kernels, "_TRIES", 0)
+        base = _base(20_000, 1)
+        draws = _kernels._gamma(np.array([k]), base, 0)
+        assert stats.kstest(draws.ravel(), stats.gamma(k).cdf).pvalue > 1e-3
+        # with a budget of one the rejected entries move to it: chunks of
+        # the trials draw what the whole does
+        monkeypatch.setattr(_kernels, "_TRIES", 1)
+        whole = _kernels._gamma(np.array([k]), base, 0)
+        cuts = ((0, 7), (7, 9000), (9000, 20_000))
+        parts = [_kernels._gamma(np.array([k]), base[lo:hi], 0) for lo, hi in cuts]
+        assert np.array_equal(np.concatenate(parts), whole)
 
     def test_gamma_of_shape_zero_is_zero(self):
         k = np.array([[0, 3], [2, 0]])
