@@ -355,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None)
     fig = sub.add_parser("figure")
     fig.add_argument("--id", type=int, required=True)
     fig.add_argument("--out", required=True)

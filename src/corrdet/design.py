@@ -5,13 +5,16 @@ g(w) = Cdot(lam*w) + (rho/lam + var_n*lam)*w is strictly increasing,
 with rho >= 0 the power multiplier.  In u = lam*w the tilt drops out:
 the design is U = h^{-1}(S), h(u) = Cdot(u) + (kappa + var_n)*u with
 kappa = rho/lam^2 the single root of a monotone equation (_power_root),
-and W = U/lam at full power.  tune_rho and _objective_for_lams keep the
-per-tilt view -- rho(lam) by safeguarded Newton in a closed-form bracket,
-and the design value V(lam) with its envelope-theorem slope -- as an
-independent reference.  On top of that sit the sign (binary) design, the
-k-level quantized design found by alternating quantizer-style
-boundary/level updates, and the four-level design, which is the optimal
-design on the signal's two magnitudes.
+and W = U/lam at full power (_full_power, which returns the matched filter
+past the reach).  tune_rho and _objective_for_lams keep the per-tilt view
+-- rho(lam) by safeguarded Newton in a closed-form bracket, and the design
+value V(lam) with its envelope-theorem slope -- as an independent
+reference.  On top of that sit the sign (binary) design, the k-level
+quantized design, and the four-level design, which is the optimal design
+on the signal's two magnitudes.  A k-level quantizer splits the sorted
+distinct signal values into k contiguous non-empty runs (_split); Lloyd-
+and Max-style sweeps alternate the full-power levels on the runs' means
+with cost-equality thresholds until the split repeats.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ class GInverseNotConverged(ArithmeticError):
     """The inverse of the correlator weight map g missed its tolerance."""
 
 
-class EmptyCell(RuntimeError):
-    """A quantizer interval lost all probability mass and could not be repaired."""
+class QuantizerCycle(ArithmeticError):
+    """The quantizer's level/boundary sweeps did not reach a fixed split."""
 
 
 class SignalAtoms:
@@ -351,6 +354,23 @@ def _power_root(model, s, p, t, var_n):
     return u, kappa, r
 
 
+def _full_power(model, s, p, theta, budget):
+    """Best full-power weights W on atoms (s, p): returns (W, rho, lam, U,
+    kappa) with U = lam W and rho = kappa lam^2 (_power_root).  Past the
+    reach, theta >= sqrt(p_w E[S^2]), no weights make a miss rare; the
+    kappa -> inf limit is the matched filter, returned with lam = rho = 0
+    and U = kappa = None.
+    """
+    root_p = math.sqrt(budget.p_w)
+    t = theta / root_p
+    e_s2 = float(np.dot(p, s * s))
+    if t >= math.sqrt(e_s2):
+        return math.sqrt(budget.p_w / e_s2) * s, 0.0, 0.0, None, None
+    u, kappa, r = _power_root(model, s, p, t, budget.var_n)
+    lam = r / root_p
+    return u / lam, kappa * lam * lam, lam, u, kappa
+
+
 def design_optimal(
     model: NoiseModel,
     signal: SignalAtoms,
@@ -359,25 +379,17 @@ def design_optimal(
 ) -> DetectorDesign:
     """Best correlator for the given signal under the power budget.
 
-    W = U/lam* at full power, with U and kappa from _power_root,
-    lam* = sqrt(E[U^2]/p_w) and rho* = kappa lam*^2, so that g(W; rho*,
-    lam*) = S.  Past the reach, theta >= sqrt(p_w E[S^2]), no weights make
-    a miss rare; the kappa -> inf limit is the matched filter, returned
-    with lam* = rho* = 0.  The exponent is the supremum over the tilt for
-    the returned (fixed) weights.
+    W = U/lam* at full power (_full_power), with U and kappa from
+    _power_root, lam* = sqrt(E[U^2]/p_w) and rho* = kappa lam*^2, so that
+    g(W; rho*, lam*) = S; past the reach the matched filter with lam* =
+    rho* = 0.  The exponent is the supremum over the tilt for the returned
+    (fixed) weights.
     """
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
     e_fa = fa_exponent(theta, budget)  # raises for theta < 0
-    root_p = math.sqrt(budget.p_w)
-    t = theta / root_p
-    if t >= math.sqrt(signal.e_s2):
-        joint, rho_star, lam_star = design_classical(signal, budget), 0.0, 0.0
-    else:
-        u, kappa, r = _power_root(model, signal.s, signal.weight, t, budget.var_n)
-        lam_star = r / root_p
-        rho_star = kappa * lam_star * lam_star
-        joint = JointAtoms(u / lam_star, signal.s, signal.weight)
+    w, rho_star, lam_star, _, _ = _full_power(model, signal.s, signal.weight, theta, budget)
+    joint = JointAtoms(w, signal.s, signal.weight)
     return DetectorDesign(
         joint=joint,
         theta=theta,
@@ -405,107 +417,65 @@ def design_binary(signal: SignalAtoms, budget: PowerBudget) -> JointAtoms:
     return JointAtoms(w, signal.s, signal.weight)
 
 
-def _quantile_boundaries(signal: SignalAtoms, k: int) -> np.ndarray:
-    """Initial boundaries at the i/k quantiles of the atom distribution."""
-    order = np.argsort(signal.s, kind="stable")
-    s_sorted = signal.s[order]
-    cum = np.cumsum(signal.weight[order])
-    bnds = []
-    for i in range(1, k):
-        # tolerance absorbs cumsum rounding at exact quantile ties
-        j = int(np.searchsorted(cum, i / k - 1e-12))
-        j = min(j, s_sorted.size - 2)
-        bnds.append(0.5 * (s_sorted[j] + s_sorted[j + 1]))
-    bnds = np.array(bnds)
-    # strictly sorted start, nudging ties apart
-    span = s_sorted[-1] - s_sorted[0] or 1.0
-    for i in range(1, bnds.size):
-        if bnds[i] <= bnds[i - 1]:
-            bnds[i] = bnds[i - 1] + 1e-9 * span
-    return bnds
+# a split that still changes after this many sweeps is taken to cycle
+_MAX_SWEEPS = 500
 
 
-def _cells(signal: SignalAtoms, boundaries: np.ndarray):
-    idx = np.searchsorted(boundaries, signal.s, side="right")
-    k = boundaries.size + 1
-    probs = np.zeros(k)
-    means = np.zeros(k)
-    np.add.at(probs, idx, signal.weight)
-    np.add.at(means, idx, signal.weight * signal.s)
-    occupied = probs > 0
-    means[occupied] /= probs[occupied]
-    return idx, probs, means, occupied
+def _split(vals, boundaries, k):
+    """Cut indices of the sorted distinct values into k runs, run j being
+    vals[cuts[j-1]:cuts[j]], each holding at least one value.
 
-
-def _repair_empty_cells(signal: SignalAtoms, boundaries: np.ndarray) -> np.ndarray:
-    """Drop boundaries of empty cells and re-split the widest occupied cell."""
-    s_min, s_max = float(signal.s.min()), float(signal.s.max())
-    for _ in range(boundaries.size + 1):
-        _, probs, _, occupied = _cells(signal, boundaries)
-        if np.all(occupied):
-            return boundaries
-        empty = int(np.flatnonzero(~occupied)[0])
-        # remove one edge of the empty cell
-        drop = empty if empty < boundaries.size else boundaries.size - 1
-        trimmed = np.delete(boundaries, drop)
-        # re-split the widest occupied cell (by atom span) at its midpoint
-        edges = np.concatenate(([s_min], trimmed, [s_max]))
-        widths = np.diff(edges)
-        wide = int(np.argmax(widths))
-        new_b = 0.5 * (edges[wide] + edges[wide + 1])
-        boundaries = np.sort(np.append(trimmed, new_b))
-    raise EmptyCell("could not repair empty quantizer cells")
-
-
-def _lloyd_sweeps(model, signal, boundaries, theta, budget, max_sweeps=500, tol=1e-9):
-    """Alternate level and boundary updates until neither moves by tol.
-
-    Levels are the optimal design on the cells' conditional means
-    (_power_root, then W = U/lam at full power).  A boundary is where two
-    levels cost the same, [C(u_{j+1}) - C(u_j) + (kappa + var_n)(u_{j+1}^2
-    - u_j^2)/2]/(u_{j+1} - u_j) in u = lam w.  Cells past the reach take
-    the kappa -> inf limit: matched levels, boundaries at the midpoints of
-    the means, lam = rho = 0.  Returns (boundaries, levels, rho, lam).
+    A boundary cuts before the first value above it, clipped so that no run
+    is empty; repeated cuts count once.  While fewer than k-1 cuts remain,
+    the run with the widest value span is cut at the value gap holding its
+    midpoint.
     """
-    root_p, var_n = math.sqrt(budget.p_w), budget.var_n
-    t = theta / root_p
-    s_min, s_max = signal.s.min(), signal.s.max()
-    levels = None
-    for _ in range(max_sweeps):
-        boundaries = _repair_empty_cells(signal, boundaries)
-        _, probs, means, _ = _cells(signal, boundaries)
-        norm = math.sqrt(float(np.dot(probs, means * means)))
-        if t >= norm:
-            new_levels, rho, lam = means * (root_p / norm), 0.0, 0.0
-        else:
-            u, kappa, r = _power_root(model, means, probs, t, var_n)
-            lam = r / root_p
-            new_levels, rho = u / lam, kappa * lam * lam
-        diff = np.diff(new_levels)
-        if np.any(diff <= 0):
-            # merged levels: collapse the offending boundary and restart sweep
-            j = int(np.flatnonzero(diff <= 0)[0])
-            boundaries = np.delete(boundaries, min(j, boundaries.size - 1))
-            edges = np.concatenate(([s_min], boundaries, [s_max]))
-            wide = int(np.argmax(np.diff(edges)))
-            boundaries = np.sort(
-                np.append(boundaries, 0.5 * (edges[wide] + edges[wide + 1]))
-            )
-            levels = None
-            continue
+    cuts = np.sort(np.clip(np.searchsorted(vals, boundaries, side="right"), 1, vals.size - 1))
+    cuts = cuts[np.diff(cuts, prepend=0) > 0]
+    while cuts.size < k - 1:
+        lo, hi = np.append(0, cuts), np.append(cuts, vals.size) - 1
+        j = int(np.argmax(vals[hi] - vals[lo]))
+        cut = np.searchsorted(vals, 0.5 * (vals[lo[j]] + vals[hi[j]]), side="right")
+        cuts = np.insert(cuts, j, np.clip(cut, lo[j] + 1, hi[j]))
+    return cuts
+
+
+def _lloyd_sweeps(model, signal, vals, cuts, theta, budget):
+    """Alternate level and boundary updates until the split repeats.
+
+    The cells are the runs of the sorted distinct values vals cut at cuts
+    (_split), so each holds mass and the cell means strictly increase.
+    Levels are the full-power optimal design on the cell means
+    (_full_power), so they strictly increase too.  A threshold is where two
+    levels cost the same, [C(u_{j+1}) - C(u_j) + (kappa + var_n)(u_{j+1}^2
+    - u_j^2)/2]/(u_{j+1} - u_j) in u = lam w, or the midpoint of the means
+    past the reach.  Once the thresholds split the values as before, levels
+    and thresholds repeat exactly; a split that has not repeated after
+    _MAX_SWEEPS sweeps raises QuantizerCycle.  A reported boundary is its
+    threshold where that falls inside its cut's value gap, otherwise the
+    gap's midpoint.  Returns (boundaries, levels, rho, lam).
+    """
+    for _ in range(_MAX_SWEEPS):
+        idx = np.searchsorted(vals[cuts], signal.s, side="right")
+        probs = np.bincount(idx, weights=signal.weight, minlength=cuts.size + 1)
+        means = np.bincount(idx, weights=signal.weight * signal.s, minlength=cuts.size + 1) / probs
+        levels, rho, lam, u, kappa = _full_power(model, means, probs, theta, budget)
         if lam == 0.0:
-            new_boundaries = 0.5 * (means[1:] + means[:-1])
+            thresholds = 0.5 * (means[1:] + means[:-1])
         else:
             c, u2 = _cgf.cgf_eval(model, u), u * u
-            new_boundaries = (np.diff(c) + 0.5 * (kappa + var_n) * np.diff(u2)) / np.diff(u)
-        new_boundaries = np.clip(np.sort(new_boundaries), s_min, s_max)
-        delta = np.max(np.abs(new_boundaries - boundaries))
-        if levels is not None:
-            delta = max(delta, float(np.max(np.abs(new_levels - levels))))
-        boundaries, levels = new_boundaries, new_levels
-        if delta < tol:
+            thresholds = (np.diff(c) + 0.5 * (kappa + budget.var_n) * np.diff(u2)) / np.diff(u)
+        new_cuts = _split(vals, thresholds, cuts.size + 1)
+        if np.array_equal(new_cuts, cuts):
             break
-    return boundaries, levels, rho, lam
+        cuts = new_cuts
+    else:
+        raise QuantizerCycle(
+            f"quantizer split still changing after {_MAX_SWEEPS} level/boundary sweeps for {model!r}"
+        )
+    lo, hi = vals[cuts - 1], vals[cuts]
+    inside = (lo < thresholds) & (thresholds < hi)
+    return np.where(inside, thresholds, 0.5 * (lo + hi)), levels, rho, lam
 
 
 def design_quantized(
@@ -517,27 +487,31 @@ def design_quantized(
     init_boundaries=None,
 ) -> QuantizerDesign:
     """k-level correlator designed by alternating boundary/level updates
-    (_lloyd_sweeps), from the i/k quantiles or from init_boundaries."""
+    (_lloyd_sweeps), from the i/k quantiles or from init_boundaries.  k is
+    capped at the number of distinct signal values that carry weight."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if theta < 0:
         raise ValueError("theta must be >= 0")
     if signal.e_s2 <= 0:
         raise DegenerateSignal("signal has zero power")
+    order = np.argsort(signal.s, kind="stable")
+    s_sorted, p_sorted = signal.s[order], signal.weight[order]
     # np.unique would import numpy.ma on first use
-    levels = np.sort(signal.s)
-    distinct = 1 + np.count_nonzero(levels[1:] != levels[:-1])
-    if distinct < k:
-        k = distinct
+    vals = s_sorted[p_sorted > 0]
+    vals = vals[np.append(True, vals[1:] != vals[:-1])]
+    k = min(k, vals.size)
 
     if init_boundaries is not None:
-        bnds0 = np.sort(np.asarray(init_boundaries, dtype=float))
+        bnds0 = np.asarray(init_boundaries, dtype=float).ravel()
         if bnds0.size != k - 1:
             raise ValueError("init_boundaries must have k-1 entries")
     else:
-        bnds0 = _quantile_boundaries(signal, k)
+        # tolerance absorbs cumsum rounding at exact quantile ties
+        bnds0 = s_sorted[np.searchsorted(np.cumsum(p_sorted), np.arange(1, k) / k - 1e-12)]
 
-    bnds, levels, rho, lam = _lloyd_sweeps(model, signal, bnds0, theta, budget)
+    cuts = _split(vals, bnds0, k)
+    bnds, levels, rho, lam = _lloyd_sweeps(model, signal, vals, cuts, theta, budget)
     return QuantizerDesign(boundaries=bnds, levels=levels, rho=rho, lam=lam)
 
 

@@ -79,6 +79,12 @@ class TestExitCodes:
             e_md = json.loads(out.read_text())["e_md"]
             assert e_md == pytest.approx(0.32717287868605, rel=1e-12)
 
+    def test_seed_only_on_simulate(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {"model": MODEL_GAUSS})
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--config", cfg, "--out", str(tmp_path / "o.json"), "--seed", "3"])
+        assert exc.value.code == 2
+
     def test_bad_figure_id(self, tmp_path):
         rc = main(["figure", "--id", "9", "--out", str(tmp_path / "f.csv")])
         assert rc == 2
@@ -184,6 +190,18 @@ class TestCommands:
         assert abs(payload["boundaries"][0]) < 1e-8
         np.testing.assert_allclose(np.abs(payload["levels"]), 1.0, atol=1e-7)
 
+    def test_quantize_with_an_empty_quantile_cell(self, tmp_path):
+        # the i/k quantiles of this signal once left a cell empty
+        atoms = [[-4.0, 0.7], [-1.0, 0.1], [0.0, 0.2]]
+        cfg = write_cfg(
+            tmp_path,
+            "c.json",
+            {"model": MODEL_GAUSS, "budget": BUDGET, "signal": {"atoms": atoms}, "theta": 0.5, "k": 3},
+        )
+        out = tmp_path / "q.json"
+        assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["levels"]) == 3
+
     def test_joint_json(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -252,6 +270,19 @@ class TestCommands:
         gap = data[:, 1] - data[:, 2]
         crossings = np.sum(np.diff(np.sign(gap[1:])) != 0)
         assert crossings == 2  # curve meets the line twice beyond the origin
+
+
+    def test_figure3_csv(self, tmp_path):
+        out = tmp_path / "f3.csv"
+        assert main(["figure", "--id", "3", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "theta,e_md_classical,e_md_optimal"
+        rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+        assert rows.shape == (200, 3)
+        assert rows[0, 0] == 0.0
+        assert rows[-1, 0] == pytest.approx(4.0 * math.sqrt(5.0), rel=1e-11)
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        assert np.all(rows[:, 2] >= rows[:, 1] - 1e-9)
 
 
 class TestDeterminism:

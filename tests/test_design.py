@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import corrdet as cd
+import corrdet.design as design_mod
 from corrdet.design import (
     GInverseNotConverged,
+    QuantizerCycle,
     _fourask_joint,
     _g_inverse_arr,
     _objective_for_lams,
@@ -378,6 +380,86 @@ class TestQuantizer:
         sig = cd.SignalAtoms([1.0, -1.0], [0.5, 0.5])
         q = cd.design_quantized(model, sig, 5, 0.2, BUD)
         assert q.levels.size == 2
+
+    def test_init_boundaries_of_any_shape(self):
+        model = cd.Gaussian(1.0)
+        sig = cd.SignalAtoms([-1.0, 0.5, 2.0, 3.0], [0.3, 0.3, 0.2, 0.2])
+        flat = cd.design_quantized(model, sig, 3, 0.3, BUD, init_boundaries=[0.1, 2.5])
+        column = cd.design_quantized(model, sig, 3, 0.3, BUD, init_boundaries=[[2.5], [0.1]])
+        np.testing.assert_array_equal(column.levels, flat.levels)
+        scalar = cd.design_quantized(model, sig, 2, 0.3, BUD, init_boundaries=0.1)
+        assert scalar.levels.size == 2
+
+    def test_single_distinct_value_is_one_full_power_level(self):
+        sig = cd.SignalAtoms([2.0, 2.0], [0.5, 0.5])
+        for model in MODELS:
+            q = cd.design_quantized(model, sig, 2, 0.5, BUD)
+            assert q.boundaries.size == 0
+            assert q.levels.size == 1
+            assert q.levels[0] ** 2 == pytest.approx(BUD.p_w, rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_one_value_per_cell_is_the_optimal_design(self, model, theta):
+        # the i/k quantile start of this signal left a cell empty
+        sig = cd.SignalAtoms([-4.0, -1.0, 0.0], [0.7, 0.1, 0.2])
+        q = cd.design_quantized(model, sig, 3, theta, BUD)
+        w_opt = cd.design_optimal(model, sig, theta, BUD).joint.w
+        np.testing.assert_allclose(q.apply(sig).w, w_opt, rtol=1e-12, atol=1e-12)
+
+    def test_random_designs_are_finite_ordered_and_fixed_points(self):
+        rng = np.random.default_rng(15)
+        models = MODELS + [cd.Laplacian(0.5), cd.BinarySymmetric(7.0)]
+        for i in range(200):
+            model = models[i % len(models)]
+            n, k = int(rng.integers(3, 40)), int(rng.integers(2, 9))
+            sig = cd.SignalAtoms(
+                rng.normal(size=n) * rng.uniform(0.3, 4.0) + rng.normal(),
+                rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0))),
+            )
+            bud = cd.PowerBudget(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 3.0)))
+            theta = float(rng.uniform(0.0, 1.2) * math.sqrt(bud.p_w * sig.e_s2))
+            q = cd.design_quantized(model, sig, k, theta, bud)
+            lv, lam, rho = q.levels, q.lam, q.rho
+            assert np.all(np.diff(q.boundaries) > 0) and np.all(np.diff(lv) > 0), i
+            idx = np.searchsorted(q.boundaries, sig.s, side="right")
+            probs = np.bincount(idx, weights=sig.weight, minlength=lv.size)
+            assert np.all(probs > 0), i
+            assert float(np.dot(probs, lv**2)) <= bud.p_w * (1 + 1e-9), i
+            e_md = cd.md_exponent(q.apply(sig), theta, bud, model).value
+            e_opt = cd.design_optimal(model, sig, theta, bud).e_md.value
+            assert e_md <= e_opt + 1e-9 * max(1.0, e_opt), i
+            if lam > 0:
+                c = cd.cgf_eval(model, lam * lv)
+                bres = (
+                    c[1:] - c[:-1] + 0.5 * (rho + bud.var_n * lam * lam) * np.diff(lv**2)
+                ) / (lam * np.diff(lv)) - q.boundaries
+                assert np.max(np.abs(bres), initial=0.0) < 1e-8, i
+                means = np.bincount(idx, weights=sig.weight * sig.s, minlength=lv.size) / probs
+                lres = cd.g_inverse(model, means, rho, lam, bud.var_n) - lv
+                assert np.max(np.abs(lres)) < 1e-8, i
+
+    def test_threshold_on_a_value_reports_the_gap_midpoint(self):
+        # levels on the cells {-2, 0} and {1} put their cost-equality
+        # threshold exactly at 0, which the upper cell would claim
+        model = cd.Gaussian(1.0)
+        sig = cd.SignalAtoms([-2.0, 0.0, 1.0], [1 / 3] * 3)
+        q = cd.design_quantized(model, sig, 2, 0.5, BUD)
+        np.testing.assert_array_equal(q.boundaries, [0.5])
+        cells = cd.SignalAtoms([-1.0, 1.0], [2 / 3, 1 / 3])
+        w = cd.design_optimal(model, cells, 0.5, BUD).joint.w
+        np.testing.assert_allclose(q.apply(sig).w, w[[0, 0, 1]], rtol=1e-12)
+
+    def test_running_out_of_sweeps_is_a_typed_error(self, monkeypatch):
+        # the quantile split {0, 1, 2 | 3, 10} moves to {0, 1, 2, 3 | 10},
+        # which repeats on the second sweep
+        sig = cd.SignalAtoms([0.0, 1.0, 2.0, 3.0, 10.0], [0.2] * 5)
+        q = cd.design_quantized(cd.Gaussian(1.0), sig, 2, 0.3, BUD)
+        np.testing.assert_allclose(q.boundaries, [5.75], rtol=1e-12)
+        monkeypatch.setattr(design_mod, "_MAX_SWEEPS", 1)
+        assert issubclass(QuantizerCycle, ArithmeticError)
+        with pytest.raises(QuantizerCycle, match="sweeps"):
+            cd.design_quantized(cd.Gaussian(1.0), sig, 2, 0.3, BUD)
 
 
 class TestFourAsk:
